@@ -8,7 +8,8 @@ the report uses:
 span                      wrapped callable
 ========================  =============================================
 ``server.handle``         ``CommunityService.handle`` (request id from
-                          the ``?rid=`` the load generator appends)
+                          the ``?rid=`` the load generator appends, or
+                          the bare path when there is none)
 ``admission.run``         ``AdmissionController.run``; ``value`` is the
                           queue wait before the job started
 ``pool.execute``          ``ParallelQueryEngine.execute``; ``value`` is
@@ -19,7 +20,8 @@ span                      wrapped callable
 ``engine.apply_delta``    ``QueryEngine.apply_delta`` (parent's own)
 ``wal.append``            ``WriteAheadLog.append_delta``
 ``maintenance.*``         ``extend_database_graph`` / ``update_index``
-``router.handle``         ``RouterService.handle``
+``router.handle``         ``RouterService.handle`` (request id as for
+                          ``server.handle``)
 ``router.leg``            ``ReplicaSet.call`` (one shard leg)
 ``router.fanout``         ``ThreadedFanout.fan`` (one merge round)
 ``router.merge``          ``merge_top_k`` as imported by the router,
@@ -55,7 +57,9 @@ def rid_from_path(path: Any) -> Optional[str]:
 
 
 def _handle_rid(self: Any, method: str, path: str, *rest: Any) -> Any:
-    return rid_from_path(path)
+    """The request id the load generator appended, else the bare path
+    (``/query`` for a router leg, ``/metrics`` for a scrape)."""
+    return rid_from_path(path) or str(path).split("?", 1)[0]
 
 
 def install_server(rec: Recorder) -> None:
@@ -123,7 +127,6 @@ def install_core(rec: Recorder) -> None:
         projection
     from repro.engine import engine as engine_mod
     from repro.engine import stream
-    from repro.graph import dijkstra
 
     for module in (comm_k, comm_all):
         rec.wrap(module, "neighbor", "core.neighbor")
@@ -134,20 +137,6 @@ def install_core(rec: Recorder) -> None:
         rec.wrap(module, "bounded_dijkstra", "dijkstra")
     rec.wrap(engine_mod, "translate_community", "engine.translate")
     rec.wrap(stream, "translate_community", "engine.translate")
-
-    lookup = getattr(dijkstra.SearchMemo, "lookup", None)
-    if lookup is None:
-        rec.missing.append("SearchMemo.lookup")
-        return
-
-    def counted_lookup(self: Any, key: Any) -> Any:
-        found = lookup(self, key)
-        if rec.active():
-            rec.count("dijkstra.memo_hits" if found is not None
-                      else "dijkstra.memo_misses")
-        return found
-
-    dijkstra.SearchMemo.lookup = counted_lookup
 
 
 # ----------------------------------------------------------------------
@@ -173,12 +162,6 @@ def _wrap_admission(rec: Recorder, cls: Any) -> None:
                     return fn(remaining)
             try:
                 return run(self, job, deadline_seconds)
-            except Exception as error:
-                if type(error).__name__ in ("Overloaded",
-                                            "DeadlineExceeded",
-                                            "ShuttingDown"):
-                    rec.count("admission.rejected")
-                raise
             finally:
                 span[VALUE] = ((started[0] if started
                                 else time.perf_counter()) - span[START])

@@ -43,11 +43,9 @@ class Recorder:
     def __init__(self) -> None:
         self.owner = os.getpid()
         self.spans: List[Span] = []
-        self.counts: Dict[str, float] = {}
         self.missing: List[str] = []
         self._ids = itertools.count(1)
         self._local = threading.local()
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def active(self) -> bool:
@@ -105,11 +103,6 @@ class Recorder:
                 return fn(*args, **kwargs)
         return carried
 
-    def count(self, name: str, increment: float = 1) -> None:
-        """Bump a counter recorded at a layer boundary."""
-        with self._lock:
-            self.counts[name] = self.counts.get(name, 0) + increment
-
     # ------------------------------------------------------------------
     def wrap(self, owner: Any, attr: str, name: str,
              rid_of: Optional[Callable[..., Any]] = None
@@ -136,10 +129,10 @@ class Recorder:
         return original
 
     def dump(self, path: str) -> None:
-        """Write every span and counter as one JSON document."""
+        """Write every span as one JSON document."""
         with open(path, "w") as handle:
-            json.dump({"spans": self.spans, "counts": self.counts,
-                       "missing": self.missing}, handle)
+            json.dump({"spans": self.spans, "missing": self.missing},
+                      handle)
 
 
 def load(path: str) -> Dict[str, Any]:

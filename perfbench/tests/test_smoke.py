@@ -11,9 +11,8 @@ RUN = Path(__file__).resolve().parents[1] / "run.py"
 ROOT = RUN.parents[1]
 
 END_TO_END = {
-    "engine-imdb": {"setup_s", "query_p50_ms", "query_p95_ms",
-                    "throughput_qps", "answer_delay_p50_ms",
-                    "peak_mem_mb", "success_rate"},
+    "engine-imdb": {"setup_s", "query_p50_ms", "throughput_qps",
+                    "answer_delay_p50_ms", "peak_mem_mb", "success_rate"},
     "serve-dblp": {"setup_s", "query_p50_ms", "query_p95_ms",
                    "throughput_qps", "peak_mem_mb", "success_rate"},
     "ingest-dblp": {"setup_s", "delta_ack_p50_ms", "delta_ack_p75_ms",

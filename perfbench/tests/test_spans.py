@@ -96,9 +96,9 @@ def test_wrappers_record_nothing_outside_the_installing_process():
 def test_dump_and_load_round_trip(tmp_path):
     rec = Recorder()
     with rec.span("a", rid="r"):
-        rec.count("hits", 2)
+        pass
     path = tmp_path / "spans.json"
     rec.dump(str(path))
     loaded = spans.load(str(path))
-    assert loaded["counts"] == {"hits": 2}
+    assert loaded["missing"] == []
     assert loaded["spans"][0][spans.NAME] == "a"

@@ -11,13 +11,16 @@ the generated requests.
 * :func:`engine_stream` walks topics without repetition (both engine
   caches miss by construction), stratified over (band, l, Rmax) so
   every run sees the same mix, PDk (``k`` in {10, 50}) with PDall on
-  the sparse bands.
-* :func:`zipf_stream` draws topics by a Zipf law and ``k`` uniformly,
-  so the head repeats exact specs (result-cache hits), repeats topics
-  with another ``k`` (prefix slices and extensions) and the tail stays
-  cold. The popularity ranking is part of the workload's definition
-  and fixed; the seed draws the requests from it, so two seeds differ
-  by sampling, not by which topics happen to be hot.
+  the sparse bands. Its query set is fixed; the seed orders it.
+* :func:`zipf_stream` spans the repo's DBLP sweep grid
+  (``repro.bench.workloads.DBLP_PARAMS``: every KWF band, l 2–6,
+  Rmax 4–8, k 50–250). It draws topics by a Zipf law and ``k``
+  uniformly, so the head repeats exact specs (result-cache hits),
+  repeats topics with another ``k`` (prefix slices and extensions) and
+  the tail stays cold. The popularity ranking is part of the
+  workload's definition and fixed; the seed draws the requests from
+  it, so two seeds differ by sampling, not by which topics happen to
+  be hot.
 * :func:`delta_stream` appends one tuple per delta, carrying a
   planted keyword and wired to existing nodes in both directions. The
   delta sequence is fixed too: its per-delta cost varies with where the
@@ -32,14 +35,21 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.workloads import DBLP_PARAMS, BenchParams
 from repro.datasets.vocab import BENCH_BANDS
 
 Topic = Tuple[Tuple[str, ...], float]
 
-#: Zipf exponent of the served read stream.
+#: Zipf exponent of the served read stream. Web and search query logs
+#: are commonly fitted with an exponent near 1; at 1.1 over the 1,425
+#: DBLP topics a 240-request run repeats about a third of its specs
+#: exactly and a fifth of its topics with another ``k``, so hits,
+#: prefix reuse and cold queries all carry weight (the run prints the
+#: measured shares on its traffic line).
 ZIPF_S = 1.1
 
-#: Seeds the fixed topic popularity ranking (not the ``--seed``).
+#: Seeds the fixed topic popularity ranking and engine-imdb's fixed
+#: query set (not the ``--seed``).
 RANKING_SEED = 2009
 
 #: Seeds the fixed delta batch ingest-dblp applies (not the ``--seed``).
@@ -80,53 +90,70 @@ def topics(l_values: Sequence[int], rmax_values: Sequence[float],
     return out
 
 
+ENGINE_L = (2, 3, 4)
+
+
+def engine_round(rmax_values: Sequence[float], bands=BENCH_BANDS) -> int:
+    """Queries per round of :func:`engine_stream`: one per
+    (band, l, Rmax) cell."""
+    return len(bands) * len(ENGINE_L) * len(rmax_values)
+
+
 def engine_stream(seed: int, rmax_values: Sequence[float]
                   ) -> List[Query]:
     """engine-imdb: every topic at most once, stratified.
 
-    Topics are grouped into cells of (band, l, Rmax); the seed shuffles
-    each cell and the stream takes one topic from every cell per round,
-    so any prefix covers the cells evenly and two seeds differ only in
-    which subsets they draw. Within a cell the rounds alternate PDk
+    Topics are grouped into cells of (band, l, Rmax); each cell is in a
+    fixed order (:data:`RANKING_SEED`) and the stream takes one topic
+    from every cell per round. Within a cell the rounds alternate PDk
     ``k`` between 10 and 50; on KWF <= .0006 and l <= 3 every third
-    round is PDall instead."""
-    rng = random.Random(seed)
+    round is PDall instead, each cell's turn starting at its position.
+    The first ``n`` whole rounds are thus the same queries for every
+    seed: the query set is part of the workload's definition, like the
+    Zipf ranking, because drawing the subsets per seed spread the
+    median query cost by 9 % (IQR over median, 20 seeds). The seed
+    shuffles the order inside each round."""
+    fixed = random.Random(RANKING_SEED)
     cells: Dict[Tuple[float, int, float], List[Topic]] = {}
-    for kwf, (keywords, rmax) in topics((2, 3, 4), rmax_values):
+    for kwf, (keywords, rmax) in topics(ENGINE_L, rmax_values):
         cells.setdefault((kwf, len(keywords), rmax), []).append(
             (keywords, rmax))
     for pool in cells.values():
-        rng.shuffle(pool)
-    phase = {cell: rng.randrange(6) for cell in cells}
+        fixed.shuffle(pool)
+    rng = random.Random(seed)
     out = []
     for round_ in range(max(len(pool) for pool in cells.values())):
-        for cell, pool in cells.items():
+        batch = []
+        for phase, (cell, pool) in enumerate(cells.items()):
             if round_ >= len(pool):
                 continue
             keywords, rmax = pool[round_]
-            turn = round_ + phase[cell]
+            turn = round_ + phase
             kwf, l, _ = cell
             if kwf <= 0.0006 and l <= 3 and turn % 3 == 0:
-                out.append(Query(keywords, rmax, None))
+                batch.append(Query(keywords, rmax, None))
             else:
-                out.append(Query(keywords, rmax, (10, 50)[turn % 2]))
+                batch.append(Query(keywords, rmax, (10, 50)[turn % 2]))
+        rng.shuffle(batch)
+        out.extend(batch)
     return out
 
 
-def zipf_stream(seed: int, count: int, rmax_values: Sequence[float],
-                k_values: Sequence[int] = (10, 50, 150, 250)
-                ) -> List[Query]:
+def zipf_stream(seed: int, count: int,
+                params: BenchParams = DBLP_PARAMS) -> List[Query]:
     """The served read stream: ``count`` PDk queries, topics Zipf-
-    distributed over a fixed ranking of the DBLP topic space."""
+    distributed over a fixed ranking of the band x l x Rmax space of
+    ``params`` and ``k`` drawn from its grid."""
     rng = random.Random(seed)
-    ranked = [topic for _, topic in topics((2, 3, 4), rmax_values)]
+    ranked = [topic for _, topic in topics(params.l_values,
+                                           params.rmax_values)]
     random.Random(RANKING_SEED).shuffle(ranked)
     weights = list(itertools.accumulate(
         1.0 / (rank ** ZIPF_S) for rank in range(1, len(ranked) + 1)))
     out = []
     for _ in range(count):
         keywords, rmax = rng.choices(ranked, cum_weights=weights)[0]
-        out.append(Query(keywords, rmax, rng.choice(k_values)))
+        out.append(Query(keywords, rmax, rng.choice(params.k_values)))
     return out
 
 
