@@ -2,7 +2,7 @@
 
 The load generator is one process. Its calling thread is one worker;
 a second thread is started only when a phase needs two concurrent
-callers (two keep-alive connections, or reads beside deltas).
+callers (two keep-alive connections).
 
 **Open loop.** Request ``i`` is *due* at ``t0 + i / rate``, whether or
 not earlier requests have returned. A worker takes the next request,
@@ -76,11 +76,10 @@ def _on_threads(workers: Sequence[Callable[[], None]]) -> None:
 
 
 def open_loop(count: int, rate: float, send: Send, threads: int = 1,
-              idle: Optional[Idle] = None,
-              start: Optional[float] = None) -> List[Sample]:
+              idle: Optional[Idle] = None) -> List[Sample]:
     """Send ``count`` requests due ``1 / rate`` apart on ``threads``
     workers; returns samples in request order."""
-    t0 = (time.perf_counter() + 0.01) if start is None else start
+    t0 = time.perf_counter() + 0.01
     lock = threading.Lock()
     cursor = [0]
     samples: List[Optional[Sample]] = [None] * count
@@ -110,6 +109,15 @@ def open_loop(count: int, rate: float, send: Send, threads: int = 1,
     return [sample for sample in samples if sample is not None]
 
 
+def call(index: int, send: Send) -> Sample:
+    """Send request ``index`` now and time it (a closed-loop sample:
+    due when sent, no lag)."""
+    sent = time.perf_counter()
+    outcome = send(index)
+    done = time.perf_counter()
+    return Sample(index, sent, sent, done, 0.0, outcome)
+
+
 def closed_loop(count: int, send: Send, threads: int, seconds: float,
                 min_count: int) -> Tuple[List[Sample], float]:
     """Send requests ``0 .. count-1`` back to back on ``threads``
@@ -130,30 +138,12 @@ def closed_loop(count: int, send: Send, threads: int, seconds: float,
                         and time.perf_counter() - t0 >= seconds):
                     return
                 cursor[0] += 1
-            sent = time.perf_counter()
-            outcome = send(index)
-            done = time.perf_counter()
+            sample = call(index, send)
             with lock:
-                samples.append(Sample(index, sent, sent, done, 0.0,
-                                      outcome))
+                samples.append(sample)
 
     _on_threads([worker] * threads)
     end = max((s.done for s in samples), default=t0)
     samples.sort(key=lambda s: s.index)
     return samples, end - t0
 
-
-def side_by_side(first: Callable[[], Any], second: Callable[[], Any]
-                 ) -> Tuple[Any, Any]:
-    """Run two phases concurrently (one per thread); returns both
-    results."""
-    results: List[Any] = [None, None]
-
-    def run_first() -> None:
-        results[0] = first()
-
-    def run_second() -> None:
-        results[1] = second()
-
-    _on_threads([run_first, run_second])
-    return results[0], results[1]

@@ -13,6 +13,8 @@ deltas) and ``routed-dblp`` (the read stream through the shard
 router). With ``--trace 0`` the run reports the end-to-end metrics;
 with ``--trace 1`` it repeats the measurement with span wrappers
 installed and reports the per-layer split instead (see README.md).
+Either way the result holds every metric ``manifest.py`` lists for the
+mode, on every workload.
 
 The last line of standard output is one JSON object::
 
@@ -49,7 +51,7 @@ def parse(argv):
     return parser.parse_args(argv)
 
 
-def run_one(name, args, workloads, deploy) -> bool:
+def run_one(name, args, workloads, deploy, manifest) -> bool:
     """Run one workload, print its traffic and result lines; returns
     whether every answer was correct."""
     work = deploy.WorkDir()
@@ -59,6 +61,7 @@ def run_one(name, args, workloads, deploy) -> bool:
             scale=workloads.SCALES[args.scale], work=work))
     finally:
         work.close()
+    metrics = manifest.complete(name, bool(args.trace), outcome.metrics)
     correct = outcome.mismatched == 0
     if not correct:
         print(f"perfbench: {name}: {outcome.mismatched} answers differ "
@@ -70,7 +73,7 @@ def run_one(name, args, workloads, deploy) -> bool:
         "failed": outcome.failed,
         "metrics": {key: {"value": value, "unit": unit}
                     for key, (value, unit)
-                    in sorted(outcome.metrics.items())},
+                    in sorted(metrics.items())},
     }), flush=True)
     return correct
 
@@ -85,6 +88,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(HERE))
     import deploy
+    import manifest
     import workloads
 
     names = (list(workloads.WORKLOADS) if args.workload == "all"
@@ -96,9 +100,13 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     try:
-        results = [run_one(name, args, workloads, deploy) for name in names]
+        results = [run_one(name, args, workloads, deploy, manifest)
+                   for name in names]
     except deploy.SetupError as error:
         print(f"perfbench: set-up failed: {error}", file=sys.stderr)
+        return 2
+    except manifest.Incomplete as error:
+        print(f"perfbench: incomplete result: {error}", file=sys.stderr)
         return 2
     return 0 if all(results) else 1
 

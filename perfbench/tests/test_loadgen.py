@@ -65,6 +65,3 @@ def test_closed_loop_runs_until_time_and_minimum():
                                      seconds=10.0, min_count=100)
     assert len(samples) == 3              # ran out of requests
 
-
-def test_side_by_side_returns_both_results():
-    assert loadgen.side_by_side(lambda: 1, lambda: 2) == (1, 2)

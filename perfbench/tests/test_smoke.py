@@ -7,27 +7,22 @@ from pathlib import Path
 
 import pytest
 
+import manifest
+
 RUN = Path(__file__).resolve().parents[1] / "run.py"
 ROOT = RUN.parents[1]
 
-END_TO_END = {
-    "engine-imdb": {"setup_s", "query_p50_ms", "throughput_qps",
-                    "answer_delay_p50_ms", "peak_mem_mb", "success_rate"},
-    "serve-dblp": {"setup_s", "query_p50_ms", "query_p95_ms",
-                   "throughput_qps", "peak_mem_mb", "success_rate"},
-    "ingest-dblp": {"setup_s", "delta_ack_p50_ms", "delta_ack_p75_ms",
-                    "peak_mem_mb", "success_rate"},
-    "routed-dblp": {"setup_s", "query_p50_ms", "throughput_qps",
-                    "peak_mem_mb", "success_rate"},
-}
+WORKLOADS = sorted(manifest.MEASURED)
 
+#: A few per-layer metrics each workload must measure (not fill with 0).
 LAYERS = {
     "engine-imdb": {"core.neighbor_calls", "core.getcommunity_ms",
-                    "dijkstra.calls_per_answer", "results.hit_ratio"},
+                    "dijkstra.calls_per_answer", "answer_delay_p50_ms"},
     "serve-dblp": {"http.transport_p50_ms", "pool.dispatch_p50_ms",
                    "serialize.encode_p50_ms", "client.connections_opened"},
     "ingest-dblp": {"wal.append_p50_ms", "pool.broadcast_p50_ms",
-                    "maintenance.update_index_ms", "wal.fsyncs_per_delta"},
+                    "maintenance.update_index_ms", "wal.fsyncs_per_delta",
+                    "delta_ack_p50_ms", "delta_ack_p75_ms"},
     "routed-dblp": {"router.legs_per_query", "router.leg_p50_ms",
                     "http.transport_p50_ms"},
 }
@@ -42,25 +37,29 @@ def run(workload, trace):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("workload", sorted(END_TO_END))
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_untraced_run_reports_every_end_to_end_metric(workload):
     result = run(workload, 0)
     assert result["correct"] is True
     assert result["failed"] == 0 and result["attempted"] > 0
-    assert set(result["metrics"]) == END_TO_END[workload]
+    assert {name: metric["unit"] for name, metric
+            in result["metrics"].items()} == manifest.END_TO_END
     for metric in result["metrics"].values():
-        assert metric["value"] > 0 and metric["unit"]
+        assert metric["value"] > 0
 
 
-@pytest.mark.parametrize("workload", sorted(LAYERS))
-def test_traced_run_reports_the_layer_split(workload):
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_run_reports_every_per_layer_metric(workload):
     result = run(workload, 1)
     assert result["correct"] is True
-    names = set(result["metrics"])
-    assert LAYERS[workload] <= names
-    assert {"trace.unaccounted_frac", "trace.overhead_frac",
-            "setup.dataset_s", "setup.ready_s"} <= names
-    assert not names & END_TO_END[workload]
+    metrics = result["metrics"]
+    assert {name: metric["unit"] for name, metric
+            in metrics.items()} == manifest.PER_LAYER
+    for name in LAYERS[workload] | {"query_p95_ms", "throughput_qps",
+                                    "setup.dataset_s", "setup.ready_s"}:
+        assert metrics[name]["value"] > 0, name
+    for name in set(manifest.PER_LAYER) - manifest.MEASURED[workload]:
+        assert metrics[name]["value"] == 0.0, name
 
 
 def test_run_refuses_a_directory_without_the_program(tmp_path):

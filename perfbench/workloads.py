@@ -14,10 +14,10 @@ benchmark's own smoke tests):
 * engine-imdb: IMDB at 150 users / 100 movies / 4,000 ratings (half
   the ``bench`` IMDB) with Rmax 9–11 — at full bench scale an Rmax-13
   query takes 1–2 s, too slow for the 200 queries a p95 needs. It
-  sends a fixed count of queries (:func:`engine_count`: three passes
-  of 135) rather than running for a fixed time, and the
-  served read workloads fix their request counts the same way
-  (:func:`read_counts`).
+  sends a fixed count of queries (:func:`engine_count`: four passes of
+  135) rather than running for a fixed time, and the served workloads
+  fix their request counts the same way (:func:`read_counts`,
+  :func:`ingest_counts`).
 * serve-dblp: the repo's bench DBLP config, index radius and query
   grid (``repro.bench.workloads``: 2,500 authors, radius 8, l 2–6,
   Rmax 4–8, k 50–250); at 1,000 authors its p95 spread three times
@@ -26,22 +26,14 @@ benchmark's own smoke tests):
   ~6 s, and set-up is repeated twice per run.
 * ingest-dblp: DBLP at 100 authors — every delta rebuilds the graph
   and copies the index, ~1 s per process at bench scale, and p75 of
-  the acknowledgement time needs 40 deltas per run (64 are sent). Its
-  reads run at half the serve-dblp rate.
+  the acknowledgement time needs 40 deltas per run (64 are sent).
 
-Only metrics that repeat from run to run within their bound are
-reported end to end. Three read-latency figures did not on a 2-core box
-and are left out: ``query_p95_ms`` of engine-imdb (the CPU of the
-shared VM ran ~40 % slower for whole runs at a time; even as the best
-of three passes of 225 queries its p95 spread 0.29 of the median over
-10 seeds, so a run now sends only the 135 a median needs),
-``query_p95_ms`` of routed-dblp (one latency mode
-per overfetch round, each round paying a ~44 ms keep-alive stall per
-shard leg; spread ~0.3 of the median over 10 seeds) and both read
-percentiles of ingest-dblp (a read is either untouched, ~4 ms, or
-queued behind a delta's apply and broadcast; which reads collide moves
-p50 and p95 by 10–60 %). The reads still run there: they load the
-system beside the deltas and every answer is checked.
+Every workload reports every end-to-end metric (``manifest.py``). The
+paper's answer delay (engine-imdb) and the delta acknowledgement time
+(ingest-dblp) exist on one workload each, and ``query_p95_ms`` and
+``throughput_qps`` did not repeat within a bound from run to run, so
+these are reported with the per-layer metrics of the traced run, taken
+from its untraced pass.
 """
 
 from __future__ import annotations
@@ -90,13 +82,13 @@ class Scale:
     dblp_routed: Dict[str, int]
     setups: int
     min_queries: int
-    engine_rate: float        # engine-imdb queries/s the run length assumes
+    engine_rate: float        # engine-imdb queries per --second, all passes
     engine_passes: int        # engine-imdb passes; each query's best counts
     closed_rate: float        # served closed-loop queries/s, likewise
-    deltas: int               # per ingest run; p75 needs 40
     open_rate: float          # served reads, requests/s on 2 connections
-    ingest_read_rate: float   # ingest reads, requests/s on 1 connection
-    delta_rate: float         # deltas/s on the other connection
+    min_deltas: int           # per ingest run; the ack p75 needs 40
+    delta_rate: float         # ingest deltas/s the run length assumes
+    reads_per_delta: int      # ingest reads sent after each delta
 
 
 SCALES = {
@@ -105,18 +97,17 @@ SCALES = {
         dblp=BENCH_DBLP,
         dblp_ingest=dict(BENCH_DBLP, n_authors=100),
         dblp_routed=dict(BENCH_DBLP, n_authors=1000),
-        setups=2, min_queries=stats.min_samples(95), engine_rate=28.0,
-        engine_passes=3, closed_rate=40.0, deltas=64, open_rate=8.0,
-        ingest_read_rate=4.0, delta_rate=8.0 / 3.618),
+        setups=2, min_queries=stats.min_samples(95), engine_rate=54.0,
+        engine_passes=4, closed_rate=40.0, open_rate=8.0,
+        min_deltas=stats.min_samples(75), delta_rate=6.4,
+        reads_per_delta=4),
     "tiny": Scale(
         imdb={"n_users": 30, "n_movies": 20, "n_ratings": 400},
         dblp={"n_authors": 60}, dblp_ingest={"n_authors": 60},
         dblp_routed={"n_authors": 60},
         setups=1, min_queries=10, engine_rate=10.0, engine_passes=2,
-        closed_rate=20.0,
-        deltas=3,
-        open_rate=20.0,
-        ingest_read_rate=10.0, delta_rate=5.0),
+        closed_rate=20.0, open_rate=20.0,
+        min_deltas=3, delta_rate=1.0, reads_per_delta=4),
 }
 
 
@@ -255,14 +246,16 @@ def best_of(drives: List[EngineDrive]) -> Tuple[List[float], List[float]]:
 def engine_count(run: Run, available: int) -> int:
     """How many engine-imdb queries one pass sends: whole rounds of the
     stratified stream (so every run covers each (band, l, Rmax) cell
-    equally), enough for a median and for the passes to fill
+    equally), enough for the percentiles the mode reports (the traced
+    run's p95, the untraced median) and for the passes to fill
     ``--seconds`` at the scale's ``engine_rate``, capped at the
     stream's length. The count depends on the arguments only, never on
     the program's speed, so a faster engine does not change the work
     behind the percentiles or the memory peak."""
     scale = run.scale
     size = traffic.engine_round(IMDB_RMAX)
-    rounds = max(math.ceil(stats.min_samples(50) / size),
+    needed = scale.min_queries if run.trace else stats.min_samples(50)
+    rounds = max(math.ceil(needed / size),
                  math.ceil(run.seconds * scale.engine_rate
                            / scale.engine_passes / size))
     return min(rounds, available // size) * size
@@ -315,6 +308,10 @@ def engine_imdb(run: Run) -> Outcome:
             memo_hits, memo_hits + memo.misses - memo_before[1]),
             "fraction")
         _engine_layers(out.metrics, drive, traced, recorder, engine)
+        put_percentile(out.metrics, "query_p95_ms", latencies, 95)
+        put(out.metrics, "throughput_qps", len(latencies) / sum(latencies),
+            "1/s")
+        put_percentile(out.metrics, "answer_delay_p50_ms", gaps, 50)
         setup_parts(out.metrics, report, ready_s)
         put(out.metrics, "trace.overhead_frac",
             stats.percentile([s.latency for s in traced.samples], 50)
@@ -323,8 +320,6 @@ def engine_imdb(run: Run) -> Outcome:
         m = out.metrics
         put(m, "setup_s", statistics.median(setup_times), "s")
         put_percentile(m, "query_p50_ms", latencies, 50)
-        put(m, "throughput_qps", len(latencies) / sum(latencies), "1/s")
-        put_percentile(m, "answer_delay_p50_ms", gaps, 50)
         put(m, "peak_mem_mb", peak_mb, "MiB")
         put(m, "success_rate", 1.0 - stats.ratio(failed, done),
             "fraction")
@@ -494,8 +489,8 @@ def query_sender(client: Any, queries: List[Query], tag: str,
 
 
 def scrape(urls: List[str]) -> Dict[str, float]:
-    """Every ``/metrics`` sample summed across ``urls`` (labels
-    dropped)."""
+    """Every ``/metrics`` sample summed across ``urls``, by name with
+    labels dropped and by the whole labelled series."""
     from repro.service.client import ServiceClient
 
     totals: Dict[str, float] = {}
@@ -506,11 +501,13 @@ def scrape(urls: List[str]) -> Dict[str, float]:
             name, _, value = line.rpartition(" ")
             if not name or line.startswith("#"):
                 continue
-            name = name.split("{", 1)[0]
             try:
-                totals[name] = totals.get(name, 0.0) + float(value)
+                number = float(value)
             except ValueError:
                 continue
+            keys = {name, name.split("{", 1)[0]}
+            for key in keys:
+                totals[key] = totals.get(key, 0.0) + number
     return totals
 
 
@@ -580,19 +577,34 @@ def drive_reads(run: Run, deployment: Deployment, queries: List[Query],
                   connections, _delta(before, after))
 
 
+def ingest_counts(run: Run) -> Tuple[int, int]:
+    """ingest-dblp deltas and reads per run: enough deltas for the ack
+    p75 and for ``--seconds`` at the scale's nominal ``delta_rate``,
+    and ``reads_per_delta`` reads after each (at least a p95's worth).
+    Like :func:`read_counts`, fixed by the arguments alone."""
+    scale = run.scale
+    deltas = max(scale.min_deltas, math.ceil(run.seconds * scale.delta_rate))
+    per = max(scale.reads_per_delta, math.ceil(scale.min_queries / deltas))
+    return deltas, deltas * per
+
+
 def drive_ingest(run: Run, deployment: Deployment, reads: List[Query],
                  deltas: List[dict]) -> Served:
-    """ingest-dblp: reads at a fixed rate on one connection beside
-    deltas at a fixed rate on the other, both spanning the same time."""
+    """ingest-dblp, one caller in lockstep: each delta on one
+    connection, acknowledged, then an equal share of the reads back to
+    back on the other. A read never overlaps a delta, so which reads
+    meet a freshly invalidated cache is fixed by the traffic, not by
+    timing."""
     from repro.exceptions import ServiceError
     from repro.service.client import ServiceClient
 
-    scale = run.scale
     before = scrape([deployment.url])
     sampler = deploy.MemorySampler(deployment.fleet.pids)
     sampler.sample()
     progress = {"sent": 0, "acked": 0}
-    start = time.perf_counter() + 0.05
+    per = len(reads) // len(deltas)
+    read_samples: List[loadgen.Sample] = []
+    delta_samples: List[loadgen.Sample] = []
     with ServiceClient(deployment.url, timeout=60.0) as reader, \
             ServiceClient(deployment.url, timeout=60.0) as writer:
         def send_delta(index: int) -> Reply:
@@ -608,14 +620,12 @@ def drive_ingest(run: Run, deployment: Deployment, reads: List[Query],
         def window() -> Tuple[int, int]:
             return progress["acked"], progress["sent"]
 
-        read_samples, delta_samples = loadgen.side_by_side(
-            lambda: loadgen.open_loop(
-                len(reads), scale.ingest_read_rate,
-                query_sender(reader, reads, "r", window=window),
-                idle=sampler.maybe, start=start),
-            lambda: loadgen.open_loop(
-                len(deltas), scale.delta_rate, send_delta,
-                idle=sampler.maybe, start=start))
+        read = query_sender(reader, reads, "r", window=window)
+        for index in range(len(deltas)):
+            delta_samples.append(loadgen.call(index, send_delta))
+            sampler.sample()
+            for offset in range(index * per, (index + 1) * per):
+                read_samples.append(loadgen.call(offset, read))
         sampler.sample()
         connections = reader.connections_opened \
             + writer.connections_opened
@@ -633,6 +643,18 @@ def _delta(before: Dict[str, float], after: Dict[str, float]
             for name, value in after.items()}
 
 
+def throughput(kind: str, served: Served) -> float:
+    """Completed reads per second of the closed loop; ingest-dblp's one
+    caller reads between deltas, so there: reads over their summed
+    latency."""
+    if kind == "ingest":
+        latencies = served.latencies()
+        return len(latencies) / sum(latencies)
+    closed_ok = sum(1 for rid, s in served.reads
+                    if rid[0] == "c" and s.outcome.ok)
+    return closed_ok / served.closed_elapsed
+
+
 def served_workload(run: Run, kind: str) -> Outcome:
     """serve-dblp, ingest-dblp or routed-dblp, end to end."""
     scale = run.scale
@@ -646,17 +668,15 @@ def served_workload(run: Run, kind: str) -> Outcome:
 
     deltas: List[dict] = []
     if kind == "ingest":
-        span_s = max(run.seconds, scale.deltas / scale.delta_rate)
-        queries = traffic.zipf_stream(
-            run.seed, math.ceil(span_s * scale.ingest_read_rate))
-        deltas = traffic.delta_stream(
-            math.ceil(span_s * scale.delta_rate), deployment.nodes)
+        delta_count, read_count = ingest_counts(run)
+        queries = traffic.zipf_stream(run.seed, [read_count])
+        deltas = traffic.delta_stream(delta_count, deployment.nodes)
 
         def measure(dep: Deployment) -> Served:
             return drive_ingest(run, dep, queries, deltas)
     else:
         open_count, closed_count = read_counts(run)
-        queries = traffic.zipf_stream(run.seed, open_count + closed_count)
+        queries = traffic.zipf_stream(run.seed, [open_count, closed_count])
 
         def measure(dep: Deployment) -> Served:
             return drive_reads(run, dep, queries, open_count)
@@ -679,25 +699,15 @@ def served_workload(run: Run, kind: str) -> Outcome:
         _served_layers(out.metrics, kind, served, traced,
                        traced_deployment)
         setup_parts(out.metrics, deployment.report, deployment.ready_s)
+        put_percentile(out.metrics, "query_p95_ms", served.latencies(), 95)
+        put(out.metrics, "throughput_qps", throughput(kind, served), "1/s")
         put(out.metrics, "trace.overhead_frac",
             stats.percentile(traced.latencies(), 50)
             / stats.percentile(served.latencies(), 50) - 1.0, "fraction")
     else:
         m = out.metrics
         put(m, "setup_s", statistics.median(times), "s")
-        if kind != "ingest":
-            put_percentile(m, "query_p50_ms", served.latencies(), 50)
-        if kind == "serve":
-            put_percentile(m, "query_p95_ms", served.latencies(), 95)
-        if kind == "ingest":
-            acks = [s.wall for _, s in served.deltas if s.outcome.ok]
-            put_percentile(m, "delta_ack_p50_ms", acks, 50)
-            put_percentile(m, "delta_ack_p75_ms", acks, 75)
-        else:
-            closed_ok = sum(1 for rid, s in served.reads
-                            if rid[0] == "c" and s.outcome.ok)
-            put(m, "throughput_qps", closed_ok / served.closed_elapsed,
-                "1/s")
+        put_percentile(m, "query_p50_ms", served.latencies(), 50)
         put(m, "peak_mem_mb", served.peak_mb, "MiB")
         put(m, "success_rate",
             1.0 - stats.ratio(out.failed, out.attempted), "fraction")
@@ -728,24 +738,39 @@ def _served_layers(m: Metrics, kind: str, untraced: Served,
                    traced: Served, deployment: Deployment) -> None:
     """Per-layer metrics of a served workload: spans of the traced
     pass, stage timers and cache counters of the untraced one."""
-    lags = [s.lag for _, s in traced.reads + traced.deltas]
-    put(m, "loadgen.lag_p95_ms", ms(stats.percentile(lags, 95)), "ms")
+    if kind == "ingest":
+        acks = [s.wall for _, s in untraced.deltas if s.outcome.ok]
+        put_percentile(m, "delta_ack_p50_ms", acks, 50)
+        put_percentile(m, "delta_ack_p75_ms", acks, 75)
+    else:                                   # the open loop's lateness
+        lags = [s.lag for _, s in traced.reads]
+        put(m, "loadgen.lag_p95_ms", ms(stats.percentile(lags, 95)), "ms")
     put(m, "client.connections_opened", traced.connections, "count")
     _span_layers(m, kind, traced, [spanlib.load(path) for path in
                                    deployment.span_files])
 
-    stage_sums: Dict[str, float] = {}
-    replies = [s.outcome for _, s in untraced.reads
-               if s.outcome.ok and s.outcome.stats]
-    for reply in replies:
-        for stage, seconds in reply.stats.get("timings", {}).items():
-            stage_sums[stage] = stage_sums.get(stage, 0.0) + seconds
-    if replies:
-        for stage in ("resolve", "project", "enumerate", "translate"):
-            put(m, f"engine.{stage}_ms",
-                ms(stage_sums.get(stage, 0.0)) / len(replies), "ms")
-
     counters = untraced.counters
+    stages = ("resolve", "project", "enumerate", "translate")
+    stage_sums: Dict[str, float] = {}
+    if kind == "routed":
+        # Routed replies carry no stage timers: take the shards' own
+        # per-stage totals, summed over every leg of every query.
+        queries = sum(1 for _, s in untraced.reads if s.outcome.ok)
+        for stage in stages:
+            stage_sums[stage] = counters.get(
+                f'repro_stage_seconds_total{{stage="{stage}"}}', 0.0)
+    else:
+        replies = [s.outcome for _, s in untraced.reads
+                   if s.outcome.ok and s.outcome.stats]
+        queries = len(replies)
+        for reply in replies:
+            for stage, seconds in reply.stats.get("timings", {}).items():
+                stage_sums[stage] = stage_sums.get(stage, 0.0) + seconds
+    if queries:
+        for stage in stages:
+            put(m, f"engine.{stage}_ms",
+                ms(stage_sums.get(stage, 0.0)) / queries, "ms")
+
     pooled = kind != "routed"
     rc = "repro_worker_result_cache_" if pooled else "repro_result_cache_"
     pc = "repro_worker_cache_" if pooled else "repro_projection_cache_"
