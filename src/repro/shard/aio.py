@@ -59,6 +59,7 @@ from repro.service.client import (
 )
 from repro.service.errors import (
     RETRYABLE_STATUSES,
+    BadRequest,
     NotFound,
     ServiceUnreachable,
     for_status,
@@ -66,8 +67,10 @@ from repro.service.errors import (
 from repro.service.server import (
     JSON_CONTENT_TYPE,
     METRICS_CONTENT_TYPE,
-    RETRY_AFTER_SECONDS,
     Response,
+    bad_request_response,
+    content_length,
+    encode_response,
 )
 from repro.shard.manifest import RoutingManifest
 from repro.shard.merge import FetchResult, MergeOutcome, TopKMerge
@@ -616,7 +619,12 @@ class AsyncRouterService:
             self._conn_tasks.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except BadRequest as error:
+                    writer.write(bad_request_response(error))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, req_headers, body = request
@@ -624,17 +632,8 @@ class AsyncRouterService:
                     await self.handle_async(method, path, body)
                 close = (req_headers.get("Connection", "")
                          .lower() == "close")
-                data = (payload if isinstance(payload, bytes)
-                        else payload.encode("utf-8"))
-                reason = http.client.responses.get(status, "")
-                head = (f"HTTP/1.1 {status} {reason}\r\n"
-                        f"Content-Type: {content_type}\r\n"
-                        f"Content-Length: {len(data)}\r\n")
-                if status in (429, 503):
-                    head += f"Retry-After: {RETRY_AFTER_SECONDS}\r\n"
-                head += ("Connection: close\r\n" if close
-                         else "Connection: keep-alive\r\n")
-                writer.write(head.encode("latin-1") + b"\r\n" + data)
+                writer.write(encode_response(
+                    status, content_type, payload, close))
                 await writer.drain()
                 if close:
                     break
@@ -655,7 +654,10 @@ class AsyncRouterService:
                             ) -> Optional[Tuple[str, str,
                                                 Dict[str, str],
                                                 bytes]]:
-        """Parse one HTTP/1.1 request; ``None`` on clean EOF."""
+        """Parse one HTTP/1.1 request; ``None`` on clean EOF.
+
+        Raises :class:`BadRequest` on a malformed ``Content-Length``.
+        """
         line = await reader.readline()
         if not line:
             return None
@@ -673,7 +675,7 @@ class AsyncRouterService:
                 return None
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().title()] = value.strip()
-        length = int(headers.get("Content-Length", 0) or 0)
+        length = content_length(headers.get("Content-Length"))
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 
