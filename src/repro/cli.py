@@ -299,14 +299,11 @@ def cmd_serve_router(args) -> int:
     each value a single URL or a comma-separated replica set
     (``http://a:8420,http://b:8420``) of siblings serving that
     shard's snapshot; each backend is an ordinary ``serve
-    --snapshot`` server. ``--async`` serves the event-loop front end
-    instead of the thread-per-request one — identical answers,
-    different concurrency model. The router itself is stateless:
-    run as many replicas as needed over the same manifest.
+    --snapshot`` server. The router itself is stateless: run as many
+    replicas as needed over the same manifest.
     """
     from repro.shard import RoutingManifest, RouterService, \
         parse_shard_urls
-    from repro.shard.aio import AsyncRouterService
 
     from pathlib import Path
 
@@ -323,31 +320,21 @@ def cmd_serve_router(args) -> int:
     root = Path(args.manifest)
     if root.is_file():
         root = root.parent
-    front_end = (AsyncRouterService if args.use_async
-                 else RouterService)
-    router = front_end(
+    router = RouterService(
         manifest, list(args.shard_url), root=root,
         host=args.host, port=args.port,
         shard_timeout=args.shard_timeout,
         shard_retries=args.retries)
-    if args.use_async:
-        # The asyncio front end binds inside its own loop; start it
-        # on the background thread so the port is known, then block.
-        router.start()
     if args.port_file:
         with open(args.port_file, "w") as handle:
             handle.write(f"{router.host} {router.port}\n")
     replicas = sum(len(urls) for urls in groups)
     print(f"routing {len(manifest.shards)} shards / {replicas} "
           f"replicas ({manifest.total_nodes} nodes, generation "
-          f"{manifest.generation}) on {router.url} "
-          f"[{'async' if args.use_async else 'threaded'}]")
+          f"{manifest.generation}) on {router.url}")
     signal.signal(signal.SIGTERM, _raise_sigterm)
     try:
-        if args.use_async:
-            signal.pause()
-        else:
-            router.serve_forever()
+        router.serve_forever()
     except (KeyboardInterrupt, SystemExit):
         print("shutting down", file=sys.stderr)
     finally:
@@ -850,11 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "replica set of sibling URLs serving "
                              "the same shard snapshot, e.g. "
                              "http://a:8420,http://b:8420")
-    router.add_argument("--async", action="store_true",
-                        dest="use_async",
-                        help="serve the asyncio event-loop front "
-                             "end instead of the threaded one "
-                             "(identical answers)")
     router.add_argument("--host", default="127.0.0.1")
     router.add_argument("--port", type=int, default=8421,
                         help="port to bind (0 = ephemeral; "

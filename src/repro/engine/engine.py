@@ -46,6 +46,7 @@ import time
 from pathlib import Path
 from typing import (
     Any,
+    Dict,
     Iterator,
     List,
     Optional,
@@ -128,6 +129,7 @@ class QueryEngine:
         self._snapshot_mode: Optional[str] = None
         self._mode_request: str = "copy"
         self._base_snapshot_id: Optional[str] = None
+        self._partition: Optional[Dict[str, Any]] = None
         self._deltas_applied = 0
         self._applied_lsn = 0
 
@@ -172,6 +174,7 @@ class QueryEngine:
         engine._base_snapshot_id = snapshot.id
         engine._snapshot_loaded_at = time.time()
         engine._snapshot_mode = getattr(snapshot, "mode", "copy")
+        engine._partition = snapshot.provenance.get("partition")
         engine._mode_request = request
         if wal_path is not None:
             from repro.wal.log import replay
@@ -220,6 +223,7 @@ class QueryEngine:
             self._applied_lsn = 0
             self._snapshot_loaded_at = time.time()
             self._snapshot_mode = getattr(snapshot, "mode", "copy")
+            self._partition = snapshot.provenance.get("partition")
         self.cache.invalidate()
         self.results.invalidate()
         return True
@@ -245,6 +249,13 @@ class QueryEngine:
         (``"copy"`` or ``"mmap"``); ``None`` when the engine never
         loaded one."""
         return self._snapshot_mode
+
+    @property
+    def partition(self) -> Optional[Dict[str, Any]]:
+        """The ``partition`` provenance of the served snapshot (shard
+        id, shard count, source snapshot, halo radius) when it is one
+        shard of a partitioned graph; ``None`` otherwise."""
+        return self._partition
 
     # ------------------------------------------------------------------
     # index lifecycle — every change advances the generation

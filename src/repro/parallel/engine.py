@@ -160,6 +160,11 @@ class ParallelQueryEngine:
         return self.local.snapshot_mode
 
     @property
+    def partition(self) -> Optional[Dict[str, Any]]:
+        """The served snapshot's shard provenance, if it is a shard."""
+        return self.local.partition
+
+    @property
     def index(self):
         """The local engine's community index."""
         return self.local.index

@@ -29,6 +29,7 @@ from repro.service.admission import AdmissionController, AdmissionStats
 from repro.service.client import ServiceClient, ServiceSession
 from repro.service.errors import (
     BadRequest,
+    Conflict,
     DeadlineExceeded,
     NotFound,
     Overloaded,
@@ -51,6 +52,7 @@ __all__ = [
     "AdmissionStats",
     "BadRequest",
     "CommunityService",
+    "Conflict",
     "DeadlineExceeded",
     "LatencyHistogram",
     "NotFound",

@@ -22,6 +22,7 @@ from repro.exceptions import ServiceError
 
 __all__ = [
     "BadRequest",
+    "Conflict",
     "DeadlineExceeded",
     "NotFound",
     "Overloaded",
@@ -44,6 +45,14 @@ class NotFound(ServiceError):
     """No such route or session id."""
 
     status = 404
+
+
+class Conflict(ServiceError):
+    """The request is valid but clashes with what the service serves
+    — a graph delta sent to a shard backend, whose halo copies on
+    other shards it would leave stale (HTTP 409)."""
+
+    status = 409
 
 
 class SessionGone(ServiceError):
@@ -102,8 +111,8 @@ RETRYABLE_STATUSES = frozenset({429, 503})
 #: Status-code -> error class, for client-side re-raising.
 _BY_STATUS = {
     cls.status: cls
-    for cls in (BadRequest, NotFound, SessionGone, Overloaded,
-                DeadlineExceeded)
+    for cls in (BadRequest, NotFound, Conflict, SessionGone,
+                Overloaded, DeadlineExceeded)
 }
 
 

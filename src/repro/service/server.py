@@ -83,7 +83,8 @@ from repro.service.admission import (
     DEFAULT_WORKERS,
     AdmissionController,
 )
-from repro.service.errors import BadRequest, NotFound, ShuttingDown
+from repro.service.errors import BadRequest, Conflict, NotFound, \
+    ShuttingDown
 from repro.service.http import (
     SnapshotTransfer,
     route_snapshot_transfer,
@@ -229,8 +230,8 @@ def encode_response(status: int, content_type: str,
                     payload: Union[str, bytes], close: bool) -> bytes:
     """One whole HTTP/1.1 response: status line, headers and body.
 
-    Both front ends send it with a single write. Headers and body in
-    two sends would let Nagle's algorithm hold the body back until
+    :class:`ServiceHandler` sends it with one write. Headers and body
+    in two sends would let Nagle's algorithm hold the body back until
     the client acknowledges the headers, which on a keep-alive
     connection it delays by about 40 ms.
     """
@@ -247,14 +248,6 @@ def encode_response(status: int, content_type: str,
     head += "Connection: close\r\n\r\n" if close \
         else "Connection: keep-alive\r\n\r\n"
     return head.encode("latin-1") + data
-
-
-def bad_request_response(error: BadRequest) -> bytes:
-    """The typed ``400`` for a request that cannot be framed; the
-    connection closes after it, since its body cannot be skipped."""
-    return encode_response(
-        400, JSON_CONTENT_TYPE,
-        json.dumps({"error": str(error), "status": 400}), close=True)
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -295,8 +288,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
         try:
             length = content_length(self.headers.get("Content-Length"))
         except BadRequest as error:
+            # The body cannot be skipped, so the connection closes.
             self.close_connection = True
-            self.wfile.write(bad_request_response(error))
+            self.wfile.write(encode_response(
+                400, JSON_CONTENT_TYPE,
+                json.dumps({"error": str(error), "status": 400}),
+                close=True))
             return
         body = self.rfile.read(length) if length else b""
         status, template, payload, content_type = service.handle(
@@ -713,8 +710,20 @@ class CommunityService:
         the engine: an acknowledged LSN is always recoverable. On a
         :class:`~repro.parallel.ParallelQueryEngine` the apply also
         fans the delta out to every pool worker.
+
+        A shard backend refuses with :class:`Conflict` (409) before
+        any side effect: the delta's ids are shard-local, and applying
+        it would leave the halo copies on other shards stale and let
+        replicas of this shard drift apart.
         """
         faults.hit("service.delta")
+        partition = getattr(self.engine, "partition", None)
+        if partition is not None:
+            raise Conflict(
+                f"this service serves shard {partition.get('shard')} "
+                f"of {partition.get('of')}; a shard cannot apply a "
+                f"delta on its own (its halo copies on other shards "
+                f"would go stale)")
         payload = _parse_body(body)
         banks = payload.get("banks_reweight", False)
         if not isinstance(banks, bool):

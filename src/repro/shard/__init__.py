@@ -33,7 +33,6 @@ from repro.shard.manifest import (
 from repro.shard.merge import (
     FetchResult,
     MergeOutcome,
-    TopKMerge,
     fetch_many_from,
     filter_owned,
     globalize,
@@ -58,7 +57,6 @@ __all__ = [
     "is_routing_root",
     "FetchResult",
     "MergeOutcome",
-    "TopKMerge",
     "fetch_many_from",
     "filter_owned",
     "globalize",

@@ -144,103 +144,53 @@ class MergeOutcome:
     fetch_sizes: Dict[int, int] = field(default_factory=dict)
 
 
-class TopKMerge:
-    """Sans-IO driver for the exact overfetch-doubling top-k merge.
-
-    The exactness policy lives here once; transports own only the
-    fetching. A caller alternates :meth:`next_round` (which wants to
-    ask, and for how much) with :meth:`feed` (what came back) until
-    :attr:`done` flips true, then reads :meth:`outcome`.
-    The threaded router fans a round out over its worker pool, the
-    asyncio router over ``asyncio.gather`` — both drive the identical
-    state machine, so the two front ends cannot diverge on merge
-    policy.
-
-    Exactness condition: the merged k-th answer's cost must be
-    *strictly* below every live shard's frontier (ties at the
-    boundary force another round, so a cheaper-or-equal answer hidden
-    behind a shard's filtered prefix can never be missed). Shards
-    whose fetch fails (``feed`` value ``None``) are dropped from the
-    merge and reported in ``failed`` — the caller decides how to
-    surface partiality.
-    """
-
-    def __init__(self, shard_ids: Sequence[int], k: int,
-                 max_rounds: int = MAX_ROUNDS) -> None:
-        self.shard_ids = list(shard_ids)
-        self.k = k
-        self.max_rounds = max_rounds
-        self._want: Dict[int, int] = {s: k for s in self.shard_ids}
-        self._results: Dict[int, Optional[FetchResult]] = {}
-        self._pending: List[int] = list(self.shard_ids)
-        self._rounds = 0
-        self._truncated = False
-        self._done = False
-        self._top: List[Community] = []
-        self._live: Dict[int, FetchResult] = {}
-
-    @property
-    def done(self) -> bool:
-        """True once the exactness condition holds (or the round cap
-        tripped) — the drive loop's termination signal."""
-        return self._done
-
-    def next_round(self) -> Dict[int, int]:
-        """``{shard_id: want}`` for the next fetch round (empty on an
-        empty fleet — feed ``{}`` back; the round still counts)."""
-        return {s: self._want[s] for s in self._pending}
-
-    def feed(self, results: Dict[int, Optional[FetchResult]]) -> None:
-        """Absorb one round of fetch results and advance the state."""
-        self._rounds += 1
-        self._results.update(results)
-        self._live = {s: r for s, r in self._results.items()
-                      if r is not None}
-        candidates = sorted(
-            (c for r in self._live.values() for c in r.kept),
-            key=community_sort_key)
-        self._top = candidates[:self.k]
-        if len(self._top) == self.k:
-            boundary = self._top[-1].cost
-            needy = [s for s, r in self._live.items()
-                     if not r.exhausted and r.frontier is not None
-                     and r.frontier <= boundary]
-        else:
-            needy = [s for s, r in self._live.items()
-                     if not r.exhausted]
-        if not needy:
-            self._pending = []
-            self._done = True
-            return
-        if self._rounds >= self.max_rounds:
-            self._pending = []
-            self._truncated = True
-            self._done = True
-            return
-        for shard_id in needy:
-            self._want[shard_id] *= 2
-        self._pending = needy
-
-    def outcome(self) -> MergeOutcome:
-        """The merged answer plus bookkeeping, once the drive is done."""
-        failed = [s for s in self.shard_ids
-                  if self._results.get(s) is None]
-        return MergeOutcome(
-            communities=self._top,
-            answered=[s for s in self.shard_ids if s not in failed],
-            failed=failed,
-            rounds=self._rounds,
-            candidates=sum(r.raw_count for r in self._live.values()),
-            truncated=self._truncated,
-            fetch_sizes=dict(self._want),
-        )
-
-
 def merge_top_k(fetch_many: FetchManyFn, shard_ids: Sequence[int],
                 k: int, max_rounds: int = MAX_ROUNDS
                 ) -> MergeOutcome:
-    """Drive :class:`TopKMerge` over a synchronous ``fetch_many``."""
-    merge = TopKMerge(shard_ids, k, max_rounds=max_rounds)
-    while not merge.done:
-        merge.feed(fetch_many(merge.next_round()))
-    return merge.outcome()
+    """The exact overfetch-doubling top-k merge over ``fetch_many``.
+
+    Each round asks the pending shards for their current fetch size
+    and re-merges every live shard's kept answers. Exactness
+    condition: the merged k-th answer's cost must be *strictly* below
+    every live shard's frontier (ties at the boundary force another
+    round, so a cheaper-or-equal answer hidden behind a shard's
+    filtered prefix can never be missed). Shards whose fetch fails
+    (value ``None``) are dropped from the merge and reported in
+    ``failed`` — the caller decides how to surface partiality.
+    """
+    shard_ids = list(shard_ids)
+    want: Dict[int, int] = {s: k for s in shard_ids}
+    results: Dict[int, Optional[FetchResult]] = {}
+    pending: List[int] = list(shard_ids)
+    rounds = 0
+    truncated = False
+    while True:
+        rounds += 1
+        results.update(fetch_many({s: want[s] for s in pending}))
+        live = {s: r for s, r in results.items() if r is not None}
+        top = sorted((c for r in live.values() for c in r.kept),
+                     key=community_sort_key)[:k]
+        if len(top) == k:
+            boundary = top[-1].cost
+            pending = [s for s, r in live.items()
+                       if not r.exhausted and r.frontier is not None
+                       and r.frontier <= boundary]
+        else:
+            pending = [s for s, r in live.items() if not r.exhausted]
+        if not pending:
+            break
+        if rounds >= max_rounds:
+            truncated = True
+            break
+        for shard_id in pending:
+            want[shard_id] *= 2
+    failed = [s for s in shard_ids if results.get(s) is None]
+    return MergeOutcome(
+        communities=top,
+        answered=[s for s in shard_ids if s not in failed],
+        failed=failed,
+        rounds=rounds,
+        candidates=sum(r.raw_count for r in live.values()),
+        truncated=truncated,
+        fetch_sizes=want,
+    )

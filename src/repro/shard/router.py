@@ -1,13 +1,13 @@
-"""The threaded scatter-gather router front end.
+"""The scatter-gather router front end.
 
 :class:`RouterService` is the thread-per-request front end of a
-sharded deployment. All routing *policy* — spec validation against
-the manifest's keyword Blooms, the exact overfetching k-way merge,
-ownership filtering, the partial-result contract, fleet health
-roll-up, verify-then-rollback reloads, metrics — lives in
-:class:`~repro.shard.routing.RouterCore`, shared verbatim with the
-asyncio front end (:mod:`repro.shard.aio`). This module owns only
-the threaded transport: a :class:`~repro.shard.transport.ReplicaSet`
+sharded deployment. The routing *policy* — spec validation against
+the manifest's keyword Blooms, ownership filtering, the
+partial-result contract, fleet health roll-up, verify-then-rollback
+reloads, metrics — lives in the socketless
+:class:`~repro.shard.routing.RouterCore`, and the exact overfetching
+k-way merge in :func:`~repro.shard.merge.merge_top_k`. This module
+owns the transport: a :class:`~repro.shard.transport.ReplicaSet`
 of keep-alive clients per shard (failing legs over to sibling boxes
 before giving a shard up), a :class:`~repro.shard.transport.
 ThreadedFanout` pool for concurrent rounds, and the
@@ -47,10 +47,12 @@ from __future__ import annotations
 import json
 import threading
 import time
+from functools import partial
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.core.community import Community
 from repro.exceptions import QueryError, ServiceError, WorkerError
 from repro.service.client import ServiceClient
 from repro.service.errors import NotFound
@@ -61,7 +63,7 @@ from repro.service.server import (
     ServiceHandler,
 )
 from repro.shard.manifest import RoutingManifest
-from repro.shard.merge import FetchResult, MergeOutcome, merge_top_k
+from repro.shard.merge import FetchManyFn, FetchResult, merge_top_k
 from repro.shard.routing import (
     DEFAULT_SHARD_RETRIES,
     DEFAULT_SHARD_TIMEOUT,
@@ -232,50 +234,86 @@ class RouterService:
         raise NotFound(f"no route {method} /{'/'.join(parts)}")
 
     # ------------------------------------------------------------------
-    # fan-out plumbing (the transport half the async front end swaps)
+    # fan-out plumbing
     # ------------------------------------------------------------------
-    def _leg_query(self, shard_id: int,
-                   payload: Dict[str, Any]) -> Any:
-        """One ``POST /query`` leg; returns the response dict, or the
-        error that killed the leg (after client retries and replica
-        failover)."""
-        replicas = self.replica_sets[shard_id]
+    def _leg(self, shard_id: int, path: str,
+             payload: Dict[str, Any]) -> Any:
+        """One ``POST`` leg to a shard; returns the response dict, or
+        the error that killed the leg (after client retries and
+        replica failover)."""
         self.core.count("fanout_legs")
         start = time.perf_counter()
+        status = 200
         try:
-            response = replicas.call(
+            result = self.replica_sets[shard_id].call(
                 lambda client: client.request(
-                    "POST", "/query", payload, idempotent=True))
-            self.core.observe_leg(shard_id, 200,
-                                  time.perf_counter() - start)
-            return response
+                    "POST", path, payload, idempotent=True))
         except ServiceError as error:
-            self.core.observe_leg(shard_id,
-                                  getattr(error, "status", 500),
-                                  time.perf_counter() - start)
-            return error
+            status, result = getattr(error, "status", 500), error
+        self.core.observe_leg(shard_id, status,
+                              time.perf_counter() - start)
+        return result
 
-    def _fetch_many(self, plan: QueryPlan
-                    ) -> Any:
-        """A merge-driver ``fetch_many`` bound to one query plan."""
+    def _fetch_many(self, plan: QueryPlan,
+                    first: Optional[Dict[int, Any]] = None
+                    ) -> FetchManyFn:
+        """A :func:`merge_top_k` fetcher bound to one query plan.
+
+        ``first`` holds round-1 replies a ``/batch`` leg already
+        fetched; each is served once, and every other fetch is a
+        fresh ``/query`` leg.
+        """
+        first = dict(first or {})
+
         def fetch_one(shard_id: int,
                       want: int) -> Optional[FetchResult]:
             """Fetch + filter one shard's first ``want`` answers."""
-            payload = self.core.shard_payload(
-                plan.spec, want, plan.deadline, plan.want_labels)
-            return self.core.fetch_result(
-                plan, shard_id, self._leg_query(shard_id, payload),
-                want)
+            if shard_id in first:
+                result = first.pop(shard_id)
+            else:
+                result = self._leg(shard_id, "/query",
+                                   self.core.shard_payload(
+                                       plan.spec, want, plan.deadline,
+                                       plan.want_labels))
+            return self.core.fetch_result(plan, shard_id, result,
+                                          want)
 
         def fetch_many(wants: Dict[int, int]
                        ) -> Dict[int, Optional[FetchResult]]:
             """One concurrent overfetch round."""
             return self._fanout.fan({
-                shard_id: (lambda s=shard_id, w=want:
-                           fetch_one(s, w))
+                shard_id: partial(fetch_one, shard_id, want)
                 for shard_id, want in wants.items()})
 
         return fetch_many
+
+    def _answer(self, plan: QueryPlan,
+                first: Optional[Dict[int, Any]] = None
+                ) -> Tuple[List[Community], int]:
+        """One query's merged answer and how many shards delivered.
+
+        PDk goes through the exact overfetching merge, PDall through
+        one fan-out round and the ownership-filtered union. ``first``
+        holds replies a ``/batch`` leg already fetched.
+        """
+        if plan.spec.mode == "topk":
+            outcome = merge_top_k(self._fetch_many(plan, first),
+                                  plan.eligible, plan.spec.k or 0)
+            self.core.note_topk(outcome)
+            communities = outcome.communities
+            answered, failed = outcome.answered, outcome.failed
+        else:
+            if first is None:
+                payload = self.core.shard_payload(
+                    plan.spec, None, plan.deadline, plan.want_labels)
+                first = self._fanout.fan({
+                    shard_id: partial(self._leg, shard_id, "/query",
+                                      payload)
+                    for shard_id in plan.eligible})
+            communities, answered, failed = \
+                self.core.reduce_all(plan, first)
+        self.core.note_partial(failed)
+        return communities, len(answered)
 
     # ------------------------------------------------------------------
     # handlers
@@ -284,29 +322,10 @@ class RouterService:
         """``POST /query``: scatter, filter, merge, gather."""
         plan = self.core.parse_query(body)
         start = time.perf_counter()
-        if plan.spec.mode == "topk":
-            outcome = merge_top_k(self._fetch_many(plan),
-                                  plan.eligible, plan.spec.k or 0)
-            communities = outcome.communities
-            answered, failed = outcome.answered, outcome.failed
-            self.core.note_topk(outcome)
-        else:
-            communities, answered, failed = self._merged_all(plan)
-        self.core.note_partial(failed)
+        communities, answered = self._answer(plan)
         return self.core.envelope(
-            plan, communities, answered=len(answered),
+            plan, communities, answered=answered,
             elapsed=time.perf_counter() - start)
-
-    def _merged_all(self, plan: QueryPlan
-                    ) -> Tuple[List[Any], List[int], List[int]]:
-        """One COMM-all fan-out: union of filtered shard answers."""
-        payload = self.core.shard_payload(
-            plan.spec, None, plan.deadline, plan.want_labels)
-        responses = self._fanout.fan({
-            shard_id: (lambda s=shard_id:
-                       self._leg_query(s, payload))
-            for shard_id in plan.eligible})
-        return self.core.reduce_all(plan, responses)
 
     def _batch(self, body: bytes) -> Dict[str, Any]:
         """``POST /batch``: shard-aware batched scatter-gather.
@@ -318,105 +337,44 @@ class RouterService:
         (a shard's filtered prefix ran short) refetch individually
         with doubled ``k`` — rare, and still stateless.
         """
-        manifest, plans, deadline, want_labels = \
-            self.core.parse_batch(body)
+        plans, deadline, want_labels = self.core.parse_batch(body)
         start = time.perf_counter()
-
-        # Round 1: one /batch per shard with its eligible entries.
         by_shard: Dict[int, List[int]] = {}
         for entry_index, plan in enumerate(plans):
             for shard_id in plan.eligible:
                 by_shard.setdefault(shard_id, []).append(entry_index)
-
-        def leg_batch(shard_id: int, indexes: List[int]) -> Any:
-            """One shard's round-1 /batch leg."""
-            bodies = [self.core.shard_payload(
-                plans[i].spec, plans[i].spec.k, deadline,
-                want_labels) for i in indexes]
-            self.core.count("fanout_legs")
-            leg_start = time.perf_counter()
-            try:
-                response = self.replica_sets[shard_id].call(
-                    lambda client: client.request(
-                        "POST", "/batch",
-                        {"queries": bodies,
-                         **({"deadline_seconds": deadline}
-                            if deadline is not None else {}),
-                         **({"labels": True} if want_labels
-                            else {})},
-                        idempotent=True))
-                self.core.observe_leg(
-                    shard_id, 200, time.perf_counter() - leg_start)
-                return response
-            except ServiceError as error:
-                self.core.observe_leg(
-                    shard_id, getattr(error, "status", 500),
-                    time.perf_counter() - leg_start)
-                return error
-
+        options: Dict[str, Any] = {}
+        if deadline is not None:
+            options["deadline_seconds"] = deadline
+        if want_labels:
+            options["labels"] = True
         round_one = self._fanout.fan({
-            shard_id: (lambda s=shard_id, idx=indexes:
-                       leg_batch(s, idx))
+            shard_id: partial(self._leg, shard_id, "/batch", {
+                "queries": [self.core.shard_payload(
+                    plans[i].spec, plans[i].spec.k, deadline,
+                    want_labels) for i in indexes],
+                **options})
             for shard_id, indexes in by_shard.items()})
 
-        # Reassemble: per entry, serve round 1 from the shard batch
-        # responses; top-k refetches fall back to single /query legs.
+        # Per entry, round 1 comes from the shard batch replies (a
+        # failed shard batch stands in as that shard's error).
         envelopes = []
         for entry_index, plan in enumerate(plans):
-            first: Dict[int, Any] = {}
+            first = {}
             for shard_id in plan.eligible:
-                result = round_one.get(shard_id)
+                result = round_one[shard_id]
                 if isinstance(result, dict):
                     position = by_shard[shard_id].index(entry_index)
-                    first[shard_id] = result["results"][position]
-                else:
-                    first[shard_id] = result
-            if plan.spec.mode == "topk":
-                outcome = self._batch_top_k(plan, first)
-                communities = outcome.communities
-                answered, failed = outcome.answered, outcome.failed
-                self.core.count("merge_rounds", outcome.rounds)
-            else:
-                communities, answered, failed = \
-                    self.core.reduce_all(plan, first)
-            if failed:
-                self.core.count("partial_results")
-                self.core.count("shard_failures", len(failed))
+                    result = result["results"][position]
+                first[shard_id] = result
+            communities, answered = self._answer(plan, first)
             envelopes.append(self.core.envelope(
-                plan, communities, answered=len(answered)))
+                plan, communities, answered=answered))
         return {
             "queries": len(envelopes),
             "results": envelopes,
             "elapsed_seconds": time.perf_counter() - start,
         }
-
-    def _batch_top_k(self, plan: QueryPlan,
-                     first: Dict[int, Any]) -> MergeOutcome:
-        """Merge one batch entry's top-k, reusing round-1 answers."""
-        def fetch_one(shard_id: int,
-                      want: int) -> Optional[FetchResult]:
-            """Round 1 from the cached batch leg; later rounds via
-            fresh single-query legs."""
-            if want == plan.spec.k and shard_id in first:
-                result = first.pop(shard_id)
-            else:
-                result = self._leg_query(
-                    shard_id, self.core.shard_payload(
-                        plan.spec, want, plan.deadline,
-                        plan.want_labels))
-            return self.core.fetch_result(plan, shard_id, result,
-                                          want)
-
-        def fetch_many(wants: Dict[int, int]
-                       ) -> Dict[int, Optional[FetchResult]]:
-            """One merge round (round 1 is served from cache)."""
-            return self._fanout.fan({
-                shard_id: (lambda s=shard_id, w=want:
-                           fetch_one(s, w))
-                for shard_id, want in wants.items()})
-
-        return merge_top_k(fetch_many, plan.eligible,
-                           plan.spec.k or 0)
 
     # ------------------------------------------------------------------
     # health + metrics
@@ -424,17 +382,10 @@ class RouterService:
     def _health(self) -> Dict[str, Any]:
         """``GET /healthz``: fan health probes to every replica."""
         manifest = self.core.capture()
-        calls = {}
-        keys = []
-        for replicas in self.replica_sets:
-            for index, client in enumerate(replicas.clients):
-                key = (replicas.shard_id, index)
-                keys.append(key)
-                calls[len(keys) - 1] = \
-                    (lambda c=client: c.health())
-        fanned = self._fanout.fan(calls)
-        responses = {keys[slot]: result
-                     for slot, result in fanned.items()}
+        responses = self._fanout.fan({
+            (replicas.shard_id, index): client.health
+            for replicas in self.replica_sets
+            for index, client in enumerate(replicas.clients)})
         return self.core.health_payload(manifest, self.replica_sets,
                                         responses)
 

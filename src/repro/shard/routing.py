@@ -1,4 +1,4 @@
-"""Transport-agnostic routing core shared by both router front ends.
+"""The socketless routing core behind the router front end.
 
 :class:`RouterCore` is everything the scatter-gather router knows
 that does **not** involve sockets or threads: validating query specs
@@ -7,11 +7,8 @@ payloads, globalizing and ownership-filtering shard answers,
 interpreting a leg's reply as a :class:`~repro.shard.merge.
 FetchResult`, assembling response envelopes with the partial-result
 contract, aggregating health rows, adopting new manifest
-generations, and rendering ``repro_router_*`` metrics. The threaded
-front end (:mod:`repro.shard.router`) and the asyncio front end
-(:mod:`repro.shard.aio`) both delegate here, so the two cannot
-diverge on routing semantics — the only code they own is *how*
-rounds fan out.
+generations, and rendering ``repro_router_*`` metrics. The front end
+(:mod:`repro.shard.router`) owns only *how* rounds fan out.
 
 Every request handler captures the manifest **once** via
 :meth:`RouterCore.capture` and threads it through the request: a
@@ -20,12 +17,11 @@ mid-request can therefore never mix two generations' owner maps or
 node maps inside one answer — the same capture-once discipline the
 engine applies to snapshots.
 
-:func:`reload_fleet` is the shared admin plane: the verify-then-
-rollback manifest rollout, including the cross-box form that pushes
-each shard's snapshot over the wire (:func:`~repro.service.http.
+:func:`reload_fleet` is the admin plane: the verify-then-rollback
+manifest rollout, including the cross-box form that pushes each
+shard's snapshot over the wire (:func:`~repro.service.http.
 push_snapshot`) and reloads by snapshot id, so partition and serve
-need no shared filesystem. It is deliberately synchronous — reloads
-are rare; the asyncio front end runs it on an executor thread.
+need no shared filesystem.
 """
 
 from __future__ import annotations
@@ -94,7 +90,7 @@ class QueryPlan:
 
 
 class RouterCore:
-    """The router's shared brain: policy, validation, bookkeeping."""
+    """The router's socketless brain: policy, validation, bookkeeping."""
 
     def __init__(self, manifest: RoutingManifest,
                  root: Optional[PathLike] = None) -> None:
@@ -184,8 +180,7 @@ class RouterCore:
                          eligible)
 
     def parse_batch(self, body: bytes
-                    ) -> Tuple[RoutingManifest, List[QueryPlan],
-                               Optional[float], bool]:
+                    ) -> Tuple[List[QueryPlan], Optional[float], bool]:
         """Parse one ``/batch`` body into per-entry plans.
 
         All entries share one manifest capture — a batch must not
@@ -210,7 +205,7 @@ class RouterCore:
                 manifest.shards_for(spec.keywords)))
         self.count("queries", len(plans))
         self.count("batches")
-        return manifest, plans, deadline, want_labels
+        return plans, deadline, want_labels
 
     # ------------------------------------------------------------------
     # leg payloads and leg interpretation
@@ -494,7 +489,7 @@ class RouterCore:
 
 
 # ----------------------------------------------------------------------
-# the shared admin plane: verify-then-rollback fleet reload
+# the admin plane: verify-then-rollback fleet reload
 # ----------------------------------------------------------------------
 def reload_fleet(core: RouterCore,
                  replica_sets: List[ReplicaSet],
@@ -612,17 +607,13 @@ def _rollback(core: RouterCore, old_manifest: RoutingManifest,
 def build_replica_sets(manifest: RoutingManifest,
                        shard_urls: List[str],
                        core: RouterCore,
-                       client_factory: Callable[[str], Any],
-                       set_factory: Callable[..., Any] = ReplicaSet
-                       ) -> List[Any]:
+                       client_factory: Callable[[str], Any]
+                       ) -> List[ReplicaSet]:
     """Validate ``--shard-url`` arity and build one set per shard.
 
     Raises :class:`~repro.exceptions.ServiceError` on a shard-count
     mismatch — at construction, so a misconfigured router dies at
-    startup, not at first query. ``set_factory`` picks the replica-
-    set flavor: the threaded :class:`~repro.shard.transport.
-    ReplicaSet` (default) or the event-loop
-    :class:`~repro.shard.aio.AsyncReplicaSet`.
+    startup, not at first query.
     """
     groups = parse_shard_urls(shard_urls)
     if len(groups) != len(manifest.shards):
@@ -630,7 +621,7 @@ def build_replica_sets(manifest: RoutingManifest,
             f"manifest names {len(manifest.shards)} shards but "
             f"{len(groups)} shard URLs were supplied")
     return [
-        set_factory(entry.shard_id, urls,
-                    client_factory=client_factory,
-                    on_failover=core.note_failover)
+        ReplicaSet(entry.shard_id, urls,
+                   client_factory=client_factory,
+                   on_failover=core.note_failover)
         for entry, urls in zip(manifest.shards, groups)]

@@ -1,4 +1,4 @@
-"""Replica-aware transport for the threaded router front end.
+"""Replica-aware transport for the router front end.
 
 The routing layer (:mod:`repro.shard.routing`) decides *what* to ask
 each shard; this module owns *how*: which sibling box answers, and on
@@ -16,19 +16,17 @@ a dead primary costs one failover per in-flight call, not one per
 future call. Deterministic errors (400/404/410) propagate
 immediately — a replica cannot fix a bad request.
 
-**Fan-out pool.** :class:`ThreadedFanout` is the threaded front
-end's concurrency primitive: run ``{shard_id: thunk}`` maps on a
-shared pool, storing per-leg exceptions as values (a leg failure is
-data — a partial result — not a router crash). The asyncio front end
-(:mod:`repro.shard.aio`) replaces both classes with event-loop
-equivalents while reusing the same routing core.
+**Fan-out pool.** :class:`ThreadedFanout` is the router's
+concurrency primitive: run ``{shard_id: thunk}`` maps on a shared
+pool, storing per-leg exceptions as values (a leg failure is data —
+a partial result — not a router crash).
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.exceptions import ServiceError
 from repro.service.client import ServiceClient
@@ -152,26 +150,23 @@ class ThreadedFanout:
             max_workers=max(4, width),
             thread_name_prefix=thread_name_prefix)
 
-    def fan(self, calls: Dict[int, Callable[[], Any]]
-            ) -> Dict[int, Any]:
-        """Run per-shard thunks concurrently; exceptions propagate
-        per entry as the stored value."""
+    def fan(self, calls: Dict[Hashable, Callable[[], Any]]
+            ) -> Dict[Hashable, Any]:
+        """Run keyed thunks (one per shard leg, or per replica for a
+        health probe) concurrently; exceptions propagate per entry as
+        the stored value."""
         if not calls:
             return {}
-        futures = {shard_id: self._pool.submit(thunk)
-                   for shard_id, thunk in calls.items()}
-        results: Dict[int, Any] = {}
-        for shard_id, future in futures.items():
+        futures = {key: self._pool.submit(thunk)
+                   for key, thunk in calls.items()}
+        results: Dict[Hashable, Any] = {}
+        for key, future in futures.items():
             try:
-                results[shard_id] = future.result()
+                results[key] = future.result()
             except Exception as error:  # noqa: BLE001 — leg failure
                 # is data (partial result), not a router crash.
-                results[shard_id] = error
+                results[key] = error
         return results
-
-    def submit(self, thunk: Callable[[], Any]) -> Any:
-        """Run one thunk on the pool (admin plane helper)."""
-        return self._pool.submit(thunk)
 
     def shutdown(self) -> None:
         """Release the pool without waiting on stragglers."""

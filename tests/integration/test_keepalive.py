@@ -1,22 +1,20 @@
 """Connection reuse: one socket per peer, reconnect-once when stale.
 
-Both HTTP clients — the threaded :class:`ServiceClient` and the
-event-loop :class:`AsyncShardClient` — keep sockets alive across
-requests: a burst of calls opens exactly one physical connection
+:class:`ServiceClient` keeps sockets alive across requests: a burst
+of calls opens exactly one physical connection
 (:attr:`connections_opened` is the telemetry the tests read). When a
 pooled socket goes stale because the server restarted, the next
 request replays once on a fresh connection instead of surfacing the
 torn socket to the caller.
 
-On the server side, every front end (:class:`CommunityService`, the
-threaded :class:`RouterService` and :class:`AsyncRouterService`)
-answers a reused connection without the ~40 ms stall that Nagle's
-algorithm plus the client's delayed ACK add to a response sent in two
-writes, and answers a request it cannot frame (a malformed
-``Content-Length``) with a typed 400 instead of a dead socket.
+On the server side, both front ends (:class:`CommunityService` and
+:class:`RouterService`) answer a reused connection without the ~40 ms
+stall that Nagle's algorithm plus the client's delayed ACK add to a
+response sent in two writes, and answer a request they cannot frame
+(a malformed ``Content-Length``) with a typed 400 instead of a dead
+socket.
 """
 
-import asyncio
 import http.client
 import json
 import socket
@@ -34,7 +32,6 @@ from repro.datasets.paper_example import (
 from repro.engine import QueryEngine
 from repro.service import CommunityService, ServiceClient
 from repro.shard import RouterService, partition_snapshot
-from repro.shard.aio import AsyncRouterService, AsyncShardClient
 from repro.snapshot import SnapshotStore
 from repro.text.inverted_index import CommunityIndex
 
@@ -135,58 +132,19 @@ class TestServiceClientKeepAlive:
             server.close()
 
 
-class TestAsyncShardClientKeepAlive:
-    def test_burst_reuses_one_stream(self):
-        with _service() as service:
-            async def drive():
-                client = AsyncShardClient(service.url, timeout=30.0)
-                try:
-                    for _ in range(12):
-                        reply = await client.request(
-                            "POST", "/query", BODY)
-                        assert reply["count"] == 1
-                    return client.connections_opened
-                finally:
-                    await client.aclose()
-            assert asyncio.run(drive()) == 1
-
-    def test_stale_stream_replays_once(self):
-        server = RudeServer()
-
-        async def scenario():
-            client = AsyncShardClient(server.url, timeout=10.0)
-            try:
-                first = await client.request("POST", "/query", BODY,
-                                             idempotent=True)
-                assert first["count"] == 1
-                assert client.connections_opened == 1
-                reply = await client.request("POST", "/query", BODY,
-                                             idempotent=True)
-                assert reply["count"] == 1
-                assert client.connections_opened == 2
-            finally:
-                await client.aclose()
-
-        try:
-            asyncio.run(scenario())
-            assert server.served == 2
-        finally:
-            server.close()
-
-
 #: Keep-alive p50 bound: half the >= 40 ms one stalled exchange
 #: costs. Unstalled over loopback, a plain service answers in under
 #: 1 ms and a routed fig4 ``/query`` (two merge rounds, four shard
 #: legs) in about 5 ms.
 STALL_FREE_P50_SECONDS = 0.020
 
-FRONT_ENDS = ("service", "router", "async_router")
+FRONT_ENDS = ("service", "router")
 
 
 @pytest.fixture(scope="module")
 def front_ends(tmp_path_factory):
     """Every HTTP front end, started over fig4: the plain service and
-    both routers over one two-shard fleet."""
+    the router over a two-shard fleet."""
     tmp = tmp_path_factory.mktemp("keepalive")
     dbg = figure4_graph()
     SnapshotStore(tmp / "store").publish(
@@ -201,8 +159,6 @@ def front_ends(tmp_path_factory):
         "service": _service(),
         "router": RouterService(manifest, urls,
                                 root=tmp / "parts").start(),
-        "async_router": AsyncRouterService(manifest, urls,
-                                           root=tmp / "parts").start(),
     }
     yield fronts
     for server in (*fronts.values(), *shards):

@@ -195,3 +195,32 @@ def test_unknown_route_404(fleet):
     router, _, _ = fleet
     status, _, _, _ = router.handle("GET", "/nope", b"")
     assert status == 404
+
+
+def _series(scrape, name):
+    """The value of one unlabelled series in a Prometheus scrape."""
+    for line in scrape.splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    raise AssertionError(f"{name} missing from the scrape")
+
+
+def test_batch_top_k_entries_count_merge_depth(fleet):
+    """A ``/batch`` top-k entry books its merge like a ``/query``."""
+    router, _, manifest = fleet
+    fresh = RouterService(manifest,
+                          [r.url for r in router.replica_sets])
+    try:
+        status, body = _post(fresh, "/batch", {"queries": [
+            {"keywords": list(FIG4_QUERY), "rmax": FIG4_RMAX,
+             "k": 3}]})
+        assert status == 200 and body["results"][0]["count"] == 3
+        scrape = fresh.render_metrics()
+        assert _series(scrape, "repro_router_merge_rounds_total") >= 1
+        assert _series(scrape,
+                       "repro_router_merge_candidates_total") > 0
+        assert _series(scrape, "repro_router_last_merge_depth") > 0
+        assert _series(scrape,
+                       "repro_router_shard_failures_total") == 0
+    finally:
+        fresh.shutdown()

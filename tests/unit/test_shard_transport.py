@@ -1,14 +1,11 @@
-"""Replica-set failover semantics, threaded and async, no sockets.
+"""Replica-set failover semantics, no sockets.
 
 Fake clients stand in for :class:`ServiceClient`, so every branch of
 the sticky-cursor contract is driven deterministically: retryable
 failures (429/503) move to the next sibling and promote it on
-success, deterministic 4xx propagate immediately, an exhausted set
-re-raises the last failure, and the async flavor matches the
-threaded one decision for decision.
+success, deterministic 4xx propagate immediately, and an exhausted
+set re-raises the last failure.
 """
-
-import asyncio
 
 import pytest
 
@@ -19,7 +16,6 @@ from repro.service.errors import (
     Overloaded,
     ServiceUnreachable,
 )
-from repro.shard.aio import AsyncReplicaSet
 from repro.shard.transport import ReplicaSet, parse_shard_urls
 
 
@@ -130,46 +126,3 @@ class TestReplicaSetFailover:
     def test_empty_url_list_rejected(self):
         with pytest.raises(ServiceError, match="no replica URLs"):
             ReplicaSet(0, [], client_factory=FakeClient)
-
-
-class TestAsyncReplicaSet:
-    """The event-loop flavor makes the same decisions."""
-
-    def _run(self, coro):
-        return asyncio.run(coro)
-
-    def _aset(self, urls, **kwargs):
-        return AsyncReplicaSet(0, urls, client_factory=FakeClient,
-                               **kwargs)
-
-    @staticmethod
-    async def _step(client):
-        """Async shim over the scripted fake."""
-        return client.step()
-
-    def test_failover_promotes_sibling(self):
-        replicas = self._aset(["http://a:1", "http://b:2"])
-        replicas.clients[0].script(ServiceUnreachable("down"))
-        result = self._run(replicas.call(self._step))
-        assert result == {"ok": "http://b:2"}
-        assert replicas.failovers == 1
-        assert replicas.active_url == "http://b:2"
-
-    def test_deterministic_4xx_propagates(self):
-        replicas = self._aset(["http://a:1", "http://b:2"])
-        replicas.clients[0].script(BadRequest("bad"))
-        with pytest.raises(BadRequest):
-            self._run(replicas.call(self._step))
-        assert replicas.clients[1].calls == 0
-
-    def test_exhausted_set_reraises(self):
-        replicas = self._aset(["http://a:1", "http://b:2"])
-        replicas.clients[0].script(ServiceUnreachable("a down"))
-        replicas.clients[1].script(ServiceUnreachable("b down"))
-        with pytest.raises(ServiceUnreachable, match="b down"):
-            self._run(replicas.call(self._step))
-
-    def test_aclose_releases_every_client(self):
-        replicas = self._aset(["http://a:1"])
-        self._run(replicas.aclose())
-        assert all(c.closed for c in replicas.clients)
