@@ -3,8 +3,8 @@
 A serving worker's cold start is bounded by how fast it can get a
 graph + index into memory. The legacy path parses two JSON documents
 and re-runs the CSR build (sort, dedup, reverse-adjacency); the
-snapshot path memcpys little-endian sections straight into numpy
-arrays and reconstructs adjacency without re-sorting. This file
+snapshot path maps little-endian sections as read-only numpy views
+and derives only the reverse adjacency. This file
 measures both on the bench-scale datasets and records the ratio in
 ``extra_info["speedup"]`` — the acceptance bar is that the snapshot
 load is measurably faster than the JSON load.

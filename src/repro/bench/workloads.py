@@ -143,8 +143,7 @@ def load_dataset(name: str, scale: str = "bench") -> DatasetBundle:
     return bundle
 
 
-def publish_snapshot(store_root, bundle: DatasetBundle,
-                     compress: bool = False):
+def publish_snapshot(store_root, bundle: DatasetBundle):
     """Publish a bundle's graph + index into a snapshot store.
 
     The one build-to-artifact path shared by the CLI
@@ -164,8 +163,7 @@ def publish_snapshot(store_root, bundle: DatasetBundle,
             "scale": bundle.scale,
             "index_radius": bundle.params.index_radius,
             "builder": "repro.bench.workloads",
-        },
-        compress=compress)
+        })
 
 
 def clear_cache() -> None:

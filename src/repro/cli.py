@@ -166,7 +166,6 @@ def cmd_serve(args) -> int:
     from repro.service import CommunityService
 
     engine_close = None
-    snapshot_mode = getattr(args, "snapshot_mode", "auto")
     result_cache_bytes = int(
         getattr(args, "result_cache_mb", 64) * 1024 * 1024)
     wal = None
@@ -195,7 +194,6 @@ def cmd_serve(args) -> int:
             engine = ParallelQueryEngine(
                 path, workers=args.workers,
                 lease_seconds=args.worker_lease,
-                snapshot_mode=snapshot_mode,
                 result_cache_bytes=result_cache_bytes,
                 wal_path=wal).start()
             engine_close = engine.close
@@ -205,24 +203,17 @@ def cmd_serve(args) -> int:
             from repro.engine.engine import QueryEngine
 
             engine = QueryEngine.from_snapshot(
-                path, mode=snapshot_mode,
-                result_cache_bytes=result_cache_bytes,
+                path, result_cache_bytes=result_cache_bytes,
                 wal_path=wal)
         if wal is not None and engine.deltas_applied:
             print(f"replayed {engine.deltas_applied} pending "
                   f"delta(s) through LSN {engine.applied_lsn}",
                   file=sys.stderr)
         dbg = engine.dbg
-        resolved = engine.snapshot_mode or "copy"
         loaded_id = (engine.snapshot_id
                      or getattr(engine, "base_snapshot_id", None))
-        print(f"loaded snapshot {loaded_id} from {path} "
-              f"({resolved} mode)", file=sys.stderr)
-        if snapshot_mode != "copy" and resolved == "copy":
-            print("warning: snapshot has gzip-compressed sections; "
-                  "falling back to copy mode (workers cannot share "
-                  "pages). Rebuild without --compress to enable "
-                  "mmap.", file=sys.stderr)
+        print(f"loaded snapshot {loaded_id} from {path}",
+              file=sys.stderr)
     else:
         dbg, search = _resolve_search(args)
         if search.index is None:
@@ -240,7 +231,6 @@ def cmd_serve(args) -> int:
         default_deadline=args.deadline,
         snapshot_source=getattr(args, "snapshot", None),
         drain_seconds=args.drain_seconds,
-        snapshot_mode=snapshot_mode,
         warm_top=getattr(args, "warm_top", 8),
         wal=wal)
     compactor = None
@@ -445,15 +435,13 @@ def cmd_snapshot_build(args) -> int:
             dbg, index,
             provenance={"dataset": "fig4",
                         "index_radius": args.radius,
-                        "builder": "repro.cli"},
-            compress=args.compress)
+                        "builder": "repro.cli"})
     else:
         from repro.bench.workloads import load_dataset, \
             publish_snapshot
 
         bundle = load_dataset(args.dataset, args.scale)
-        snapshot = publish_snapshot(args.store, bundle,
-                                    compress=args.compress)
+        snapshot = publish_snapshot(args.store, bundle)
     elapsed = time.perf_counter() - start
     counts = snapshot.counts
     print(f"published {snapshot.id} -> {snapshot.path}")
@@ -477,7 +465,7 @@ def cmd_snapshot_partition(args) -> int:
     start = time.perf_counter()
     manifest, path = partition_snapshot(
         args.snapshot, args.out, args.shards,
-        halo_radius=args.halo_radius, compress=args.compress)
+        halo_radius=args.halo_radius)
     elapsed = time.perf_counter() - start
     print(f"partitioned {manifest.source_snapshot} into "
           f"{len(manifest.shards)} shards "
@@ -513,11 +501,10 @@ def _inspect_routing(path, as_json: bool) -> int:
     print(f"nodes      {manifest.total_nodes} global")
     for entry in manifest.shards:
         counts = entry.counts
-        mmap = "mmap" if entry.mappable else "copy"
         print(f"shard {entry.shard_id:02d}   {entry.snapshot_id}  "
               f"{entry.owned_nodes} owned / "
               f"{len(entry.node_map)} nodes, "
-              f"{counts.get('vocab', 0)} keywords, {mmap}  "
+              f"{counts.get('vocab', 0)} keywords  "
               f"-> {entry.store}")
     return 0
 
@@ -531,17 +518,14 @@ def cmd_snapshot_inspect(args) -> int:
     import json as _json
 
     from repro.shard import is_routing_root
-    from repro.snapshot.snapshot import (read_manifest,
-                                         snapshot_is_mappable)
+    from repro.snapshot.snapshot import read_manifest
     from repro.snapshot.store import locate_snapshot
 
     if is_routing_root(args.path):
         return _inspect_routing(args.path, args.json)
     manifest = read_manifest(locate_snapshot(args.path))
     if args.json:
-        payload = dict(manifest)
-        payload["mmap"] = snapshot_is_mappable(manifest)
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        print(_json.dumps(manifest, indent=2, sort_keys=True))
         return 0
     counts = manifest["counts"]
     print(f"snapshot   {manifest['id']}")
@@ -555,17 +539,10 @@ def cmd_snapshot_inspect(args) -> int:
     for name in sorted(manifest["sections"]):
         section = manifest["sections"][name]
         total += section["bytes"]
-        gz = " (gzip)" if section.get("gzip") else ""
         print(f"section    {name}: {section['file']} "
               f"{section['bytes']} bytes "
-              f"sha256={section['sha256'][:12]}...{gz}")
-    if snapshot_is_mappable(manifest):
-        print(f"mmap       yes ({total} bytes shareable across "
-              f"workers)")
-    else:
-        print("mmap       no (gzip-compressed sections; rebuild "
-              "without --compress to serve with --snapshot-mode "
-              "mmap)")
+              f"sha256={section['sha256'][:12]}...")
+    print(f"mapped     {total} bytes, shareable across workers")
     return 0
 
 
@@ -701,16 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "directory or a store root, whose "
                              "'latest' is used); enables POST "
                              "/admin/reload")
-    serve.add_argument("--snapshot-mode", dest="snapshot_mode",
-                       choices=("auto", "mmap", "copy"),
-                       default="auto",
-                       help="how to materialize the snapshot: 'mmap' "
-                            "maps the uncompressed sections as "
-                            "read-only views shared by all workers "
-                            "through the page cache, 'copy' "
-                            "deserializes private objects, 'auto' "
-                            "(default) maps when the artifact allows "
-                            "it and warns on fallback")
     serve.add_argument("--index", help="a saved index file")
     serve.add_argument("--radius", type=float, default=8.0,
                        help="index radius R when building in-process "
@@ -874,8 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     snap_build.add_argument("--radius", type=float, default=10.0,
                             help="index radius R for fig4 (dblp/imdb "
                                  "use their paper radius)")
-    snap_build.add_argument("--compress", action="store_true",
-                            help="gzip the section payloads")
     snap_build.set_defaults(func=cmd_snapshot_build)
 
     snap_partition = snapshot_sub.add_parser(
@@ -896,9 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(default 3R, the proven exact "
                                      "bound; smaller risks wrong "
                                      "answers)")
-    snap_partition.add_argument("--compress", action="store_true",
-                                help="gzip the shard section "
-                                     "payloads")
     snap_partition.set_defaults(func=cmd_snapshot_partition)
 
     snap_inspect = snapshot_sub.add_parser(

@@ -126,8 +126,6 @@ class QueryEngine:
         self._index = index
         self._snapshot_id: Optional[str] = None
         self._snapshot_loaded_at: Optional[float] = None
-        self._snapshot_mode: Optional[str] = None
-        self._mode_request: str = "copy"
         self._base_snapshot_id: Optional[str] = None
         self._partition: Optional[Dict[str, Any]] = None
         self._deltas_applied = 0
@@ -141,17 +139,14 @@ class QueryEngine:
                       verify: bool = True,
                       registry: Optional[AlgorithmRegistry] = None,
                       cache_capacity: int = DEFAULT_CAPACITY,
-                      mode: str = "copy",
                       result_cache_bytes: Optional[int] = None,
                       wal_path: Optional[Union[str, Path, Any]] = None
                       ) -> "QueryEngine":
         """An engine serving a snapshot, generation = snapshot id.
 
-        ``mode`` (``"copy"`` / ``"mmap"`` / ``"auto"``) selects how a
-        *path* source is materialized — see
-        :func:`repro.snapshot.load_snapshot`; it also becomes the
-        engine's default for later :meth:`load_snapshot` calls. An
-        already-loaded :class:`Snapshot` source is adopted as-is.
+        A *path* source is mapped by
+        :func:`repro.snapshot.load_snapshot`; an already-loaded
+        :class:`Snapshot` source is adopted as-is.
 
         ``wal_path`` (a path or an open
         :class:`~repro.wal.log.WriteAheadLog`) replays the log's
@@ -159,13 +154,8 @@ class QueryEngine:
         engine is returned — the restart-recovery path; the engine
         comes up already converged with every acknowledged delta.
         """
-        if isinstance(source, Snapshot):
-            snapshot = source
-            request = getattr(snapshot, "mode", "copy")
-        else:
-            snapshot = _load_snapshot(source, verify=verify,
-                                      mode=mode)
-            request = mode
+        snapshot = (source if isinstance(source, Snapshot)
+                    else _load_snapshot(source, verify=verify))
         engine = cls(snapshot.dbg, snapshot.index, registry=registry,
                      cache_capacity=cache_capacity,
                      result_cache_bytes=result_cache_bytes)
@@ -173,26 +163,16 @@ class QueryEngine:
         engine._snapshot_id = snapshot.id
         engine._base_snapshot_id = snapshot.id
         engine._snapshot_loaded_at = time.time()
-        engine._snapshot_mode = getattr(snapshot, "mode", "copy")
         engine._partition = snapshot.provenance.get("partition")
-        engine._mode_request = request
         if wal_path is not None:
             from repro.wal.log import replay
             replay(engine, wal_path)
         return engine
 
     def load_snapshot(self, path: Union[str, Path],
-                      verify: bool = True,
-                      mode: Optional[str] = None) -> Snapshot:
-        """Load the snapshot at ``path`` and swap the engine onto it.
-
-        ``mode=None`` re-uses the mode this engine was created with,
-        so a reload broadcast keeps every worker in its configured
-        materialization.
-        """
-        if mode is None:
-            mode = self._mode_request
-        snapshot = _load_snapshot(path, verify=verify, mode=mode)
+                      verify: bool = True) -> Snapshot:
+        """Load the snapshot at ``path`` and swap the engine onto it."""
+        snapshot = _load_snapshot(path, verify=verify)
         self.swap_snapshot(snapshot)
         return snapshot
 
@@ -222,7 +202,6 @@ class QueryEngine:
             self._deltas_applied = 0
             self._applied_lsn = 0
             self._snapshot_loaded_at = time.time()
-            self._snapshot_mode = getattr(snapshot, "mode", "copy")
             self._partition = snapshot.provenance.get("partition")
         self.cache.invalidate()
         self.results.invalidate()
@@ -242,13 +221,6 @@ class QueryEngine:
     def snapshot_loaded_at(self) -> Optional[float]:
         """Epoch seconds of the last snapshot load/swap, if any."""
         return self._snapshot_loaded_at
-
-    @property
-    def snapshot_mode(self) -> Optional[str]:
-        """Resolved materialization of the served snapshot
-        (``"copy"`` or ``"mmap"``); ``None`` when the engine never
-        loaded one."""
-        return self._snapshot_mode
 
     @property
     def partition(self) -> Optional[Dict[str, Any]]:
@@ -273,7 +245,6 @@ class QueryEngine:
             self._epoch += 1
             self._generation = f"g{self._epoch}"
             self._snapshot_id = None
-            self._snapshot_mode = None
             self._base_snapshot_id = None
             self._deltas_applied = 0
             self._applied_lsn = 0

@@ -148,7 +148,7 @@ LazyPayload = Tuple[Sequence[str], Sequence[Sequence[int]],
 class LazyDatabaseGraph(DatabaseGraph):
     """A :class:`DatabaseGraph` that decodes node metadata on demand.
 
-    The mmap snapshot path uses this so worker spawn never pays the
+    The snapshot load path uses this so worker spawn never pays the
     eager per-node work the base constructor does (``frozenset`` per
     node, provenance decode per node) — nor even the ``nodes.json``
     parse: ``loader`` is invoked once, on the first metadata access,

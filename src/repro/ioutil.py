@@ -11,7 +11,9 @@ the shared pattern lives here once:
 * :func:`dump_versioned_json` / :func:`load_versioned_json` — one JSON
   document per file, stamped with and checked against a
   ``{"format": ..., "version": ...}`` header, raising the *caller's*
-  error type so each subsystem keeps its own taxonomy.
+  error type so each subsystem keeps its own taxonomy;
+* :func:`refuse_compressed_sections` — the typed refusal of a
+  snapshot manifest written by older builds that gzipped sections.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Type, Union
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SnapshotFormatError
 
 PathLike = Union[str, Path]
 
@@ -74,3 +76,24 @@ def load_versioned_json(path: PathLike, format_name: str, version: int,
             f"unsupported {format_name} version "
             f"{payload.get('version')!r} (expected {version})")
     return payload
+
+
+def refuse_compressed_sections(manifest: Dict[str, Any]) -> None:
+    """Reject a snapshot manifest whose sections are gzip-compressed.
+
+    Older snapshot builds could gzip section payloads (a truthy
+    ``"gzip"`` flag on the section entry). Snapshots are loaded by
+    mapping their section files, and compressed bytes cannot be
+    mapped, so such an artifact raises
+    :class:`~repro.exceptions.SnapshotFormatError` naming the fix
+    instead of being decoded as garbage.
+    """
+    packed = sorted(name for name, entry
+                    in (manifest.get("sections") or {}).items()
+                    if entry.get("gzip"))
+    if packed:
+        raise SnapshotFormatError(
+            f"snapshot {manifest.get('id')} has gzip-compressed "
+            f"sections ({', '.join(packed)}), which cannot be "
+            f"memory-mapped; rebuild the snapshot (python -m repro "
+            f"snapshot build) to write uncompressed sections")

@@ -120,7 +120,6 @@ class WorkerPool:
                  lease_seconds: Optional[float] = DEFAULT_LEASE_SECONDS,
                  max_respawns: int = DEFAULT_MAX_RESPAWNS,
                  respawn_window: float = DEFAULT_RESPAWN_WINDOW,
-                 snapshot_mode: str = "copy",
                  result_cache_bytes: Optional[int] = None,
                  wal_path: Optional[str] = None
                  ) -> None:
@@ -131,10 +130,6 @@ class WorkerPool:
             raise ValueError(
                 f"lease_seconds must be positive, got {lease_seconds}")
         self.snapshot_path = str(snapshot_path)
-        #: How each worker materializes the snapshot (``"copy"`` /
-        #: ``"mmap"`` / ``"auto"``); mmap-mode workers share one
-        #: page-cache copy and (re)spawn without deserializing.
-        self.snapshot_mode = snapshot_mode
         #: Per-worker result-cache budget (``None`` = engine default,
         #: ``0`` disables); each worker owns a private cache.
         self.result_cache_bytes = result_cache_bytes
@@ -212,8 +207,7 @@ class WorkerPool:
         process = self._ctx.Process(
             target=worker_main,
             args=(worker_id, self.snapshot_path, queue,
-                  self._result_queue, self.snapshot_mode,
-                  self.result_cache_bytes, self.wal_path),
+                  self._result_queue, self.result_cache_bytes, self.wal_path),
             daemon=True, name=f"repro-worker-{worker_id}")
         process.start()
         self._handles[worker_id] = _WorkerHandle(

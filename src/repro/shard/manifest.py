@@ -137,8 +137,6 @@ class ShardEntry:
     #: Shard snapshot counts (nodes/edges/vocab as in the snapshot
     #: manifest).
     counts: Dict[str, int]
-    #: Whether the shard snapshot can be served in mmap mode.
-    mappable: bool
     #: Bloom summary of the shard's indexed keywords.
     bloom: KeywordBloom = field(repr=False)
 
@@ -151,7 +149,6 @@ class ShardEntry:
             "node_map": list(self.node_map),
             "owned_nodes": self.owned_nodes,
             "counts": dict(self.counts),
-            "mappable": self.mappable,
             "bloom": self.bloom.to_dict(),
         }
 
@@ -166,7 +163,6 @@ class ShardEntry:
             owned_nodes=int(payload["owned_nodes"]),
             counts={k: int(v)
                     for k, v in payload["counts"].items()},
-            mappable=bool(payload["mappable"]),
             bloom=KeywordBloom.from_dict(payload["bloom"]),
         )
 

@@ -44,7 +44,7 @@ from repro.shard.manifest import (
     RoutingManifest,
     ShardEntry,
 )
-from repro.snapshot.snapshot import load_snapshot, snapshot_is_mappable
+from repro.snapshot.snapshot import load_snapshot
 from repro.snapshot.store import SnapshotStore, locate_snapshot
 from repro.text.inverted_index import CommunityIndex
 
@@ -205,7 +205,6 @@ def partition_graph(dbg: DatabaseGraph, radius: float,
 def partition_snapshot(source: PathLike, out_root: PathLike,
                        shards: int,
                        halo_radius: Optional[float] = None,
-                       compress: bool = False,
                        verify: bool = True
                        ) -> Tuple[RoutingManifest, Path]:
     """Partition a published snapshot into a routed shard fleet.
@@ -242,8 +241,7 @@ def partition_snapshot(source: PathLike, out_root: PathLike,
                 },
                 "dataset": snapshot.provenance.get("dataset"),
                 "index_radius": result.radius,
-            },
-            compress=compress)
+            })
         entries.append(ShardEntry(
             shard_id=bundle.shard_id,
             snapshot_id=published.id,
@@ -251,7 +249,6 @@ def partition_snapshot(source: PathLike, out_root: PathLike,
             node_map=bundle.node_map,
             owned_nodes=len(bundle.owned),
             counts=dict(published.counts),
-            mappable=snapshot_is_mappable(published.manifest),
             bloom=KeywordBloom.build(
                 bundle.index.node_index.keywords()),
         ))

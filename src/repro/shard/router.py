@@ -55,7 +55,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.core.community import Community
 from repro.exceptions import QueryError, ServiceError, WorkerError
 from repro.service.client import ServiceClient
-from repro.service.errors import NotFound
+from repro.service.errors import BadRequest, NotFound
 from repro.service.server import (
     JSON_CONTENT_TYPE,
     METRICS_CONTENT_TYPE,
@@ -280,10 +280,16 @@ class RouterService:
 
         def fetch_many(wants: Dict[int, int]
                        ) -> Dict[int, Optional[FetchResult]]:
-            """One concurrent overfetch round."""
-            return self._fanout.fan({
+            """One concurrent overfetch round; a leg's client error
+            (raised by :meth:`RouterCore.leg_empty` on its fan-out
+            thread) fails the whole query, on the request thread."""
+            results = self._fanout.fan({
                 shard_id: partial(fetch_one, shard_id, want)
                 for shard_id, want in wants.items()})
+            for result in results.values():
+                if isinstance(result, BadRequest):
+                    raise result
+            return results
 
         return fetch_many
 
@@ -294,7 +300,8 @@ class RouterService:
 
         PDk goes through the exact overfetching merge, PDall through
         one fan-out round and the ownership-filtered union. ``first``
-        holds replies a ``/batch`` leg already fetched.
+        holds replies a ``/batch`` leg already fetched; every eligible
+        shard missing from it gets a fresh ``/query`` leg.
         """
         if plan.spec.mode == "topk":
             outcome = merge_top_k(self._fetch_many(plan, first),
@@ -303,15 +310,16 @@ class RouterService:
             communities = outcome.communities
             answered, failed = outcome.answered, outcome.failed
         else:
-            if first is None:
-                payload = self.core.shard_payload(
-                    plan.spec, None, plan.deadline, plan.want_labels)
-                first = self._fanout.fan({
-                    shard_id: partial(self._leg, shard_id, "/query",
-                                      payload)
-                    for shard_id in plan.eligible})
+            replies = dict(first or {})
+            payload = self.core.shard_payload(
+                plan.spec, None, plan.deadline, plan.want_labels)
+            replies.update(self._fanout.fan({
+                shard_id: partial(self._leg, shard_id, "/query",
+                                  payload)
+                for shard_id in plan.eligible
+                if shard_id not in replies}))
             communities, answered, failed = \
-                self.core.reduce_all(plan, first)
+                self.core.reduce_all(plan, replies)
         self.core.note_partial(failed)
         return communities, len(answered)
 
@@ -335,7 +343,10 @@ class RouterService:
         keeps every shard's worker pool busy, which is the point of
         batching. Top-k entries that then fail the exactness check
         (a shard's filtered prefix ran short) refetch individually
-        with doubled ``k`` — rare, and still stateless.
+        with doubled ``k`` — rare, and still stateless. A shard that
+        400s its whole batch (one entry's unknown keyword or bad
+        ``rmax`` fails all of them) is re-asked per entry, so each
+        entry gets its own verdict.
         """
         plans, deadline, want_labels = self.core.parse_batch(body)
         start = time.perf_counter()
@@ -357,12 +368,15 @@ class RouterService:
             for shard_id, indexes in by_shard.items()})
 
         # Per entry, round 1 comes from the shard batch replies (a
-        # failed shard batch stands in as that shard's error).
+        # failed shard batch stands in as that shard's error, except
+        # a 400, which is re-asked per entry).
         envelopes = []
         for entry_index, plan in enumerate(plans):
             first = {}
             for shard_id in plan.eligible:
                 result = round_one[shard_id]
+                if isinstance(result, BadRequest):
+                    continue
                 if isinstance(result, dict):
                     position = by_shard[shard_id].index(entry_index)
                     result = result["results"][position]

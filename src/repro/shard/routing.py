@@ -56,6 +56,7 @@ from repro.shard.merge import (
     merge_all,
 )
 from repro.shard.transport import ReplicaSet, parse_shard_urls
+from repro.text.inverted_index import UNKNOWN_KEYWORD
 
 PathLike = Union[str, Path]
 
@@ -162,8 +163,7 @@ class RouterCore:
         for keyword in spec.keywords:
             if not manifest.keyword_known(keyword):
                 raise QueryError(
-                    f"keyword {keyword!r} does not occur in the "
-                    f"database")
+                    f"keyword {keyword!r} {UNKNOWN_KEYWORD}")
         return spec
 
     def parse_query(self, body: bytes) -> QueryPlan:
@@ -234,11 +234,18 @@ class RouterCore:
     def leg_empty(result: Any) -> bool:
         """Whether a failed leg actually means "no answers here".
 
-        A shard 400s an unknown keyword (Bloom false positive routed
-        a query the shard cannot resolve); for the fleet that is an
-        empty contribution, not an outage.
+        Only the shard's unknown-keyword 400 does: a Bloom false
+        positive routed a query the shard cannot resolve, and for the
+        fleet that is an empty contribution, not an outage. Any other
+        shard 400 (an ``rmax`` beyond the index radius, say) is the
+        client's error; it is raised here so the client gets the 400
+        the single box would answer.
         """
-        return isinstance(result, BadRequest)
+        if not isinstance(result, BadRequest):
+            return False
+        if UNKNOWN_KEYWORD in str(result):
+            return True
+        raise result
 
     def absorb(self, plan: QueryPlan, shard_id: int,
                response: Dict[str, Any]) -> List[Community]:

@@ -20,11 +20,9 @@ from repro.snapshot.snapshot import (
     FORMAT_NAME,
     FORMAT_VERSION,
     MANIFEST_NAME,
-    SNAPSHOT_MODES,
     Snapshot,
     load_snapshot,
     read_manifest,
-    snapshot_is_mappable,
     verify_snapshot,
     write_snapshot,
 )
@@ -34,13 +32,11 @@ __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "MANIFEST_NAME",
-    "SNAPSHOT_MODES",
     "Snapshot",
     "SnapshotStore",
     "load_snapshot",
     "locate_snapshot",
     "read_manifest",
-    "snapshot_is_mappable",
     "verify_snapshot",
     "write_snapshot",
 ]

@@ -32,6 +32,12 @@ from repro.graph.dijkstra import bounded_dijkstra
 
 Edge = Tuple[int, int, float]
 
+#: The tail of the :class:`QueryError` for a keyword with no
+#: postings. The shard router matches it in a shard's 400 reply: that
+#: one error means "no answers on this shard", every other 400 is the
+#: client's (see :meth:`repro.shard.routing.RouterCore.leg_empty`).
+UNKNOWN_KEYWORD = "does not occur in the database"
+
 
 class NodeInvertedIndex:
     """``invertedN``: keyword -> sorted node ids containing it."""
@@ -146,7 +152,7 @@ class EdgeInvertedIndex:
 class ArrayNodeInvertedIndex(NodeInvertedIndex):
     """``invertedN`` served out of flat posting arrays, on demand.
 
-    The mmap snapshot path: instead of materializing every posting
+    The snapshot load path: instead of materializing every posting
     list at load, this variant keeps the snapshot's flat node-posting
     column (a read-only int64 view over the mapped ``postings.bin``)
     plus the per-keyword ``(id, count)`` directory, and slices a
@@ -329,8 +335,7 @@ class CommunityIndex:
     def require_keyword(self, keyword: str) -> None:
         """Raise :class:`QueryError` when a keyword has no postings."""
         if not self.node_index.nodes(keyword):
-            raise QueryError(
-                f"keyword {keyword!r} does not occur in the database")
+            raise QueryError(f"keyword {keyword!r} {UNKNOWN_KEYWORD}")
 
     # ------------------------------------------------------------------
     # statistics (paper §VII reports build time and index size)

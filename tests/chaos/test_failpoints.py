@@ -239,9 +239,9 @@ class TestSnapshotSites:
 
 
 class TestMmapSnapshotSites:
-    """The mmap load path hits the same failpoints as the copy path
-    and fails with the same *typed* errors — never a bare numpy or
-    struct error escaping from the view layer."""
+    """The mapped load path fails with *typed* errors on every
+    section — never a bare numpy or struct error escaping from the
+    view layer."""
 
     def test_corrupted_section_is_a_typed_error_in_mmap_mode(
             self, fig4_store):
@@ -250,13 +250,13 @@ class TestMmapSnapshotSites:
         from repro.snapshot.snapshot import load_snapshot
 
         path = SnapshotStore(fig4_store).resolve()
-        assert load_snapshot(path, mode="mmap").mode == "mmap"
+        load_snapshot(path)                         # sane baseline
         faults.activate("snapshot.section", "always:corrupt")
         with pytest.raises(SnapshotIntegrityError) as excinfo:
-            load_snapshot(path, mode="mmap")
+            load_snapshot(path)
         assert isinstance(excinfo.value, SnapshotError)
         faults.clear()
-        load_snapshot(path, mode="mmap")            # clean again
+        load_snapshot(path)            # clean again
 
     @pytest.mark.parametrize("section",
                              ("graph", "nodes", "index", "postings"))
@@ -269,7 +269,7 @@ class TestMmapSnapshotSites:
         faults.activate(f"snapshot.section.{section}",
                         "always:corrupt")
         with pytest.raises(SnapshotIntegrityError):
-            load_snapshot(path, mode="mmap")
+            load_snapshot(path)
 
     def test_load_site_fires_before_any_mapping(self, fig4_store):
         from repro.snapshot import SnapshotStore
@@ -278,5 +278,5 @@ class TestMmapSnapshotSites:
         path = SnapshotStore(fig4_store).resolve()
         faults.activate("snapshot.load", "once:raise")
         with pytest.raises(FaultInjectedError):
-            load_snapshot(path, mode="mmap")
-        load_snapshot(path, mode="mmap")
+            load_snapshot(path)
+        load_snapshot(path)

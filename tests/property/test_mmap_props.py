@@ -1,13 +1,15 @@
-"""Property tests for the mmap snapshot mode.
+"""Property tests for the mapped snapshot load path.
 
-Two properties back the zero-copy refactor:
+Two properties back the zero-copy load:
 
-1. every array a mmap-mode load hands out is a read-only view —
+1. every array a snapshot load hands out is a read-only view —
    mutation raises instead of silently corrupting the shared pages;
-2. a copy-mode engine and a mmap-mode engine over the same artifact
-   answer PDall and PDk identically, community for community, on
-   adversarial Hypothesis graphs — so ``--snapshot-mode`` can never
-   change what a query returns, only how the bytes are materialized.
+2. an engine over the mapped artifact and an engine over the
+   in-memory (list-backed) graph and index the artifact was written
+   from answer PDall and PDk identically, community for community, on
+   adversarial Hypothesis graphs — so mapping can never change what a
+   query returns, only how the bytes are held. The in-memory
+   reference never touched disk.
 """
 
 import json
@@ -34,9 +36,8 @@ def test_mmap_load_round_trips_and_views_are_read_only(
         case, tmp_path_factory):
     dbg, index, _ = case
     path = tmp_path_factory.mktemp("mmap") / "s"
-    write_snapshot(path, dbg, index)       # uncompressed: mappable
-    loaded = load_snapshot(path, mode="mmap")
-    assert loaded.mode == "mmap"
+    write_snapshot(path, dbg, index)
+    loaded = load_snapshot(path)
     _same_graph(loaded.dbg, dbg)
     if index is not None:
         _same_index(index, loaded.index)
@@ -57,10 +58,8 @@ def test_copy_and_mmap_engines_answer_identically(
     dbg, index, _ = case
     path = tmp_path_factory.mktemp("modes") / "s"
     write_snapshot(path, dbg, index)
-    copied = QueryEngine.from_snapshot(path, mode="copy")
-    mapped = QueryEngine.from_snapshot(path, mode="mmap")
-    assert copied.snapshot_mode == "copy"
-    assert mapped.snapshot_mode == "mmap"
+    reference = QueryEngine(dbg, index)    # in memory, never on disk
+    mapped = QueryEngine.from_snapshot(path)
 
     vocab = sorted(dbg.vocabulary())
     if not vocab:
@@ -74,14 +73,14 @@ def test_copy_and_mmap_engines_answer_identically(
         rmax = min(rmax, index.radius)
 
     spec = QuerySpec(tuple(keywords), rmax, mode="all")
-    all_a = _community_key(copied.run_all(spec))
+    all_a = _community_key(reference.run_all(spec))
     all_b = _community_key(mapped.run_all(spec))
     assert all_a == all_b
     # The same answers serialize to the same JSON — no numpy scalar
-    # may leak out of the mmap path.
+    # may leak out of the mapped arrays.
     assert json.dumps(all_b, default=str) \
         == json.dumps(all_a, default=str)
 
-    stream_a = copied.top_k_stream(keywords, rmax).take(3)
+    stream_a = reference.top_k_stream(keywords, rmax).take(3)
     stream_b = mapped.top_k_stream(keywords, rmax).take(3)
     assert _community_key(stream_a) == _community_key(stream_b)

@@ -3,7 +3,8 @@
 One generator produces adversarial artifacts — composite-tuple
 provenance primary keys, unicode keywords and labels, keywords with
 empty postings (explicit build vocabularies containing words absent
-from the graph), gzip on and off — and the properties assert that
+from the graph), legacy files gzipped or not — and the properties
+assert that
 
 1. a snapshot round-trips the graph and index exactly;
 2. the legacy single-file formats (now shims over the same codec)
@@ -34,7 +35,7 @@ _PK = st.recursive(
 
 @st.composite
 def artifacts(draw):
-    """A ``(dbg, index_or_None, compress)`` case."""
+    """A ``(dbg, index_or_None, gzip_legacy_files)`` case."""
     n = draw(st.integers(min_value=0, max_value=8))
     vocab = draw(st.lists(_TEXT, min_size=1, max_size=4,
                           unique=True))
@@ -88,9 +89,9 @@ def _same_index(a: CommunityIndex, b: CommunityIndex) -> None:
 @settings(max_examples=30, deadline=None)
 @given(case=artifacts())
 def test_snapshot_round_trip(case, tmp_path_factory):
-    dbg, index, compress = case
+    dbg, index, _ = case
     path = tmp_path_factory.mktemp("snap") / "s"
-    write_snapshot(path, dbg, index, compress=compress)
+    write_snapshot(path, dbg, index)
     loaded = load_snapshot(path)
     _same_graph(loaded.dbg, dbg)
     if index is None:
@@ -106,9 +107,9 @@ def test_snapshot_round_trip(case, tmp_path_factory):
 @settings(max_examples=30, deadline=None)
 @given(case=artifacts())
 def test_legacy_files_round_trip(case, tmp_path_factory):
-    dbg, index, compress = case
+    dbg, index, gzip_legacy = case
     tmp = tmp_path_factory.mktemp("legacy")
-    suffix = ".json.gz" if compress else ".json"
+    suffix = ".json.gz" if gzip_legacy else ".json"
     save_database_graph(dbg, tmp / f"g{suffix}")
     loaded_dbg = load_database_graph(tmp / f"g{suffix}")
     _same_graph(loaded_dbg, dbg)
@@ -122,10 +123,9 @@ def test_legacy_files_round_trip(case, tmp_path_factory):
 @given(case=artifacts())
 def test_snapshot_id_stable_across_reserialization(case,
                                                    tmp_path_factory):
-    dbg, index, compress = case
+    dbg, index, _ = case
     tmp = tmp_path_factory.mktemp("stable")
-    first = write_snapshot(tmp / "a", dbg, index, compress=compress)
+    first = write_snapshot(tmp / "a", dbg, index)
     loaded = load_snapshot(tmp / "a")
-    second = write_snapshot(tmp / "b", loaded.dbg, loaded.index,
-                            compress=not compress)
+    second = write_snapshot(tmp / "b", loaded.dbg, loaded.index)
     assert second.id == first.id

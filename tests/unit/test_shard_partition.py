@@ -184,6 +184,23 @@ def test_routing_manifest_round_trip(partitioned):
     assert RoutingManifest.load(path).generation == manifest.generation
 
 
+def test_routing_manifest_with_legacy_mappable_key_still_loads(
+        partitioned, tmp_path):
+    """Older partitions wrote a per-shard ``mappable`` flag; this
+    version ignores it and no longer writes it."""
+    _, manifest, path, _ = partitioned
+    document = json.loads(path.read_text())
+    assert all("mappable" not in shard
+               for shard in document["shards"])
+    for shard in document["shards"]:
+        shard["mappable"] = True
+    (tmp_path / ROUTING_NAME).write_text(json.dumps(document))
+    loaded = RoutingManifest.load(tmp_path)
+    assert loaded.generation == manifest.generation
+    assert [e.snapshot_id for e in loaded.shards] \
+        == [e.snapshot_id for e in manifest.shards]
+
+
 def test_is_routing_root(partitioned, tmp_path):
     _, _, path, tmp = partitioned
     assert is_routing_root(tmp / "out")

@@ -20,13 +20,12 @@ from repro.snapshot.store import SnapshotStore
 from repro.text.inverted_index import CommunityIndex
 
 
-@pytest.fixture(scope="module")
-def fleet(tmp_path_factory):
-    """(router, single-box service, manifest) over partitioned fig4."""
-    tmp = tmp_path_factory.mktemp("fleet")
+def _fleet(tmp, radius):
+    """(router, single-box service, manifest) over partitioned fig4
+    indexed at ``radius``."""
     dbg = figure4_graph()
     store = SnapshotStore(tmp / "store")
-    snapshot = store.publish(dbg, CommunityIndex.build(dbg, 10.0),
+    snapshot = store.publish(dbg, CommunityIndex.build(dbg, radius),
                              provenance={"dataset": "fig4"})
     manifest, _ = partition_snapshot(tmp / "store", tmp / "parts", 2)
     shards = []
@@ -45,6 +44,17 @@ def fleet(tmp_path_factory):
     reference.shutdown()
     for service in shards:
         service.shutdown()
+
+
+@pytest.fixture(scope="module")
+def fleet(tmp_path_factory):
+    yield from _fleet(tmp_path_factory.mktemp("fleet"), 10.0)
+
+
+@pytest.fixture(scope="module")
+def fleet_r4(tmp_path_factory):
+    """The same fleet indexed at R=4, so ``rmax`` 9 is out of range."""
+    yield from _fleet(tmp_path_factory.mktemp("fleet4"), 4.0)
 
 
 def _post(service, path, payload):
@@ -110,6 +120,39 @@ def test_unknown_keyword_is_definitive_400(fleet):
                          {"keywords": ["nosuchkeyword"], "rmax": 4.0})
     assert status == 400
     assert "does not occur" in body["error"]
+
+
+@pytest.mark.parametrize("shape", ({"k": 3}, {"mode": "all"}))
+def test_other_shard_400s_reach_the_client(fleet_r4, shape):
+    """Only the unknown-keyword 400 means "no answers on this shard";
+    an ``rmax`` beyond the index radius is the client's error and is
+    answered 400, as the single box answers it."""
+    router, reference, _ = fleet_r4
+    body = dict(shape, keywords=list(FIG4_QUERY), rmax=9.0)
+    status, routed = _post(router, "/query", body)
+    ref_status, single = _post(reference, "/query", body)
+    assert ref_status == 400
+    assert status == 400, routed
+    assert "exceeds the index radius" in routed["error"]
+
+
+def test_batch_with_a_bad_entry_is_a_400_like_the_single_box(
+        fleet_r4):
+    router, reference, _ = fleet_r4
+    valid = {"keywords": list(FIG4_QUERY), "rmax": 4.0, "k": 3}
+    body = {"queries": [valid, dict(valid, rmax=9.0)]}
+    status, routed = _post(router, "/batch", body)
+    ref_status, _ = _post(reference, "/batch", body)
+    assert ref_status == 400
+    assert status == 400, routed
+    assert "exceeds the index radius" in routed["error"]
+    # The valid entry alone still answers exactly, not partially.
+    status, routed = _post(router, "/batch", {"queries": [valid]})
+    _, single = _post(reference, "/batch", {"queries": [valid]})
+    assert status == 200
+    entry = routed["results"][0]
+    assert entry["partial"] is False
+    assert _norm(entry) == _norm(single["results"][0])
 
 
 def test_batch_matches_single_box(fleet):
@@ -224,3 +267,16 @@ def test_batch_top_k_entries_count_merge_depth(fleet):
                        "repro_router_shard_failures_total") == 0
     finally:
         fresh.shutdown()
+
+
+def test_leg_empty_only_for_the_unknown_keyword_400():
+    from repro.service.errors import BadRequest
+    from repro.shard.routing import RouterCore
+
+    assert RouterCore.leg_empty(
+        BadRequest("keyword 'x' does not occur in the database"))
+    assert not RouterCore.leg_empty({"communities": []})
+    assert not RouterCore.leg_empty(ServiceError("shard down"))
+    with pytest.raises(BadRequest, match="exceeds"):
+        RouterCore.leg_empty(
+            BadRequest("Rmax=9.0 exceeds the index radius R=4.0"))

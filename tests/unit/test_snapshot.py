@@ -3,10 +3,12 @@
 Covers the PR's acceptance properties at the unit level:
 
 * a snapshot round-trips bit-identically — rewriting the same content
-  reproduces the same per-section checksums and the same id, with or
-  without gzip;
+  reproduces the same per-section checksums and the same id;
 * every flipped byte is rejected at load/verify time with the typed
-  error taxonomy;
+  error taxonomy, and ``verify_snapshot`` decodes the sections the
+  mapped loader parses lazily;
+* a legacy manifest with gzip-compressed sections is refused with a
+  typed error naming the fix at every entry point;
 * the store publishes atomically, resolves ``latest``, lists and
   prunes; republishing identical content is idempotent;
 * the engine adopts the snapshot id as its generation, swaps
@@ -14,10 +16,12 @@ Covers the PR's acceptance properties at the unit level:
   stays warm).
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.datasets.paper_example import FIG4_QUERY, FIG4_RMAX
 from repro.engine import QueryEngine
 from repro.exceptions import (
@@ -67,6 +71,18 @@ def _assert_same_index(a, b):
         assert a.edge_index.edges(kw) == b.edge_index.edges(kw)
 
 
+def _replace_section(snap_dir, name, payload):
+    """Overwrite section ``name`` and make its manifest entry (bytes,
+    sha256) match, so only decoding can reject the new content."""
+    manifest_path = snap_dir / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    entry = manifest["sections"][name]
+    (snap_dir / entry["file"]).write_bytes(payload)
+    entry.update(bytes=len(payload),
+                 sha256=hashlib.sha256(payload).hexdigest())
+    manifest_path.write_text(json.dumps(manifest))
+
+
 class TestFormat:
     def test_round_trip(self, fig4, fig4_index, tmp_path):
         snap = write_snapshot(tmp_path / "s", fig4, fig4_index,
@@ -92,17 +108,6 @@ class TestFormat:
                      "postings.bin"):
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
-
-    def test_gzip_preserves_id_and_content(self, fig4, fig4_index,
-                                           tmp_path):
-        plain = write_snapshot(tmp_path / "p", fig4, fig4_index)
-        gz = write_snapshot(tmp_path / "z", fig4, fig4_index,
-                            compress=True)
-        assert gz.id == plain.id      # checksums over uncompressed
-        assert (tmp_path / "z" / "graph.bin.gz").exists()
-        loaded = load_snapshot(tmp_path / "z")
-        _assert_same_graph(loaded.dbg, fig4)
-        _assert_same_index(loaded.index, fig4_index)
 
     def test_graph_only_snapshot(self, fig4, tmp_path):
         snap = write_snapshot(tmp_path / "g", fig4)
@@ -190,6 +195,75 @@ class TestCorruption:
         target.write_bytes(target.read_bytes()[:-16])
         with pytest.raises(SnapshotIntegrityError):
             load_snapshot(snap_dir, verify=False)
+
+    def test_verify_decodes_a_well_formed_but_foreign_nodes_section(
+            self, snap_dir):
+        """A nodes section that is valid JSON with a matching
+        checksum, but not a nodes section, passes the mapped load
+        (which defers the parse) and must still fail verification."""
+        _replace_section(snap_dir, "nodes", b"{}")
+        load_snapshot(snap_dir)            # the parse is deferred ...
+        with pytest.raises(SnapshotIntegrityError):
+            verify_snapshot(snap_dir)      # ... and verify forces it
+
+    def test_verify_decodes_every_provenance_entry(self, snap_dir):
+        """A provenance entry that parses as JSON but does not decode
+        to ``(table, pk)`` fails verification."""
+        nodes = json.loads((snap_dir / "nodes.json").read_bytes())
+        nodes["provenance"][-1] = 7
+        _replace_section(snap_dir, "nodes", json.dumps(nodes).encode())
+        with pytest.raises(SnapshotIntegrityError):
+            verify_snapshot(snap_dir)
+
+    def test_verify_checks_index_keyword_ids(self, snap_dir):
+        """A negative keyword id in the index directory would resolve
+        to the wrong word through Python's negative indexing."""
+        directory = json.loads((snap_dir / "index.json").read_bytes())
+        directory["node_keywords"][0] = -1
+        _replace_section(snap_dir, "index",
+                         json.dumps(directory).encode())
+        with pytest.raises(SnapshotIntegrityError, match="keyword id"):
+            verify_snapshot(snap_dir)
+
+
+class TestLegacyGzipSections:
+    """Older builds could gzip section payloads. Such a manifest is
+    refused with a typed error naming the fix at every entry point,
+    never crashed on or decoded as garbage."""
+
+    @pytest.fixture()
+    def gzip_dir(self, fig4, fig4_index, tmp_path):
+        write_snapshot(tmp_path / "s", fig4, fig4_index)
+        manifest_path = tmp_path / "s" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sections"]["postings"]["gzip"] = True
+        manifest_path.write_text(json.dumps(manifest))
+        return tmp_path / "s"
+
+    def test_new_manifests_carry_no_gzip_key(self, fig4, fig4_index,
+                                            tmp_path):
+        snap = write_snapshot(tmp_path / "s", fig4, fig4_index)
+        assert all("gzip" not in entry
+                   for entry in snap.manifest["sections"].values())
+
+    def test_load_refuses(self, gzip_dir):
+        with pytest.raises(SnapshotFormatError,
+                           match="gzip.*rebuild the snapshot"):
+            load_snapshot(gzip_dir)
+
+    def test_verify_cli_refuses(self, gzip_dir, capsys):
+        with pytest.raises(SnapshotFormatError, match="rebuild"):
+            verify_snapshot(gzip_dir)
+        assert main(["snapshot", "verify", str(gzip_dir)]) == 2
+        assert "rebuild the snapshot" in capsys.readouterr().err
+
+    def test_ingest_refuses_before_any_bytes_move(self, gzip_dir,
+                                                  tmp_path):
+        store = SnapshotStore(tmp_path / "remote")
+        manifest = read_manifest(gzip_dir)
+        with pytest.raises(SnapshotFormatError, match="rebuild"):
+            store.ingest(manifest)
+        assert list((tmp_path / "remote").iterdir()) == []
 
 
 class TestEdgeOnlyKeywords:

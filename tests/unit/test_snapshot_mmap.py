@@ -1,11 +1,14 @@
-"""Unit tests for the zero-copy mmap snapshot path.
+"""Unit tests for the zero-copy snapshot load path.
 
-The mmap mode serves a snapshot out of read-only array views over
+``load_snapshot`` serves a snapshot out of read-only array views over
 memory-mapped section files, so N workers share one physical copy of
-the index. These tests pin down the mode surface (``copy`` / ``mmap``
-/ ``auto``), the gzip fallback, view immutability, the lazy metadata
-decode, the engine/CLI plumbing, and the codec's single-pass posting
-validation (NaN / negative weights, out-of-range nodes).
+the index. These tests pin down the mapped content and classes, the
+refusal of legacy gzip-compressed sections, view immutability, the
+lazy metadata decode, answers identical to the in-memory engine the
+snapshot was written from, the engine's adoption and reload of mapped
+snapshots, the inspect CLI, and the codec's
+single-pass posting validation (NaN / negative weights, out-of-range
+nodes).
 """
 
 import json
@@ -19,13 +22,7 @@ from repro.engine import QueryEngine
 from repro.engine.spec import QuerySpec
 from repro.exceptions import QueryError, SnapshotFormatError
 from repro.graph.database_graph import LazyDatabaseGraph
-from repro.snapshot import (
-    SNAPSHOT_MODES,
-    load_snapshot,
-    read_manifest,
-    snapshot_is_mappable,
-    write_snapshot,
-)
+from repro.snapshot import MANIFEST_NAME, load_snapshot, write_snapshot
 from repro.snapshot.codec import index_from_payload, index_payload
 from repro.text.inverted_index import (
     ArrayEdgeInvertedIndex,
@@ -41,50 +38,33 @@ def fig4_index(fig4):
 
 @pytest.fixture()
 def snap_dir(fig4, fig4_index, tmp_path):
-    """An uncompressed (mmap-able) fig4 snapshot directory."""
+    """A fig4 snapshot directory."""
     write_snapshot(tmp_path / "s", fig4, fig4_index)
     return tmp_path / "s"
 
 
 @pytest.fixture()
 def gzip_snap_dir(fig4, fig4_index, tmp_path):
-    """A gzip-compressed (copy-only) fig4 snapshot directory."""
-    write_snapshot(tmp_path / "z", fig4, fig4_index, compress=True)
+    """A fig4 snapshot whose manifest flags its sections as gzip —
+    the shape of an artifact written by older builds."""
+    write_snapshot(tmp_path / "z", fig4, fig4_index)
+    manifest_path = tmp_path / "z" / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["sections"].values():
+        entry["gzip"] = True
+    manifest_path.write_text(json.dumps(manifest))
     return tmp_path / "z"
 
 
 class TestModes:
-    def test_mode_constants(self):
-        assert SNAPSHOT_MODES == ("copy", "mmap", "auto")
-
-    def test_unknown_mode_rejected(self, snap_dir):
-        with pytest.raises(ValueError, match="snapshot mode"):
-            load_snapshot(snap_dir, mode="turbo")
-
-    def test_mode_recorded_on_snapshot(self, snap_dir):
-        assert load_snapshot(snap_dir, mode="copy").mode == "copy"
-        mapped = load_snapshot(snap_dir, mode="mmap")
-        assert mapped.mode == "mmap"
-        assert "mmap" in repr(mapped)
-
-    def test_auto_resolves_against_the_artifact(self, snap_dir,
-                                                gzip_snap_dir):
-        assert load_snapshot(snap_dir, mode="auto").mode == "mmap"
-        assert load_snapshot(gzip_snap_dir,
-                             mode="auto").mode == "copy"
-
     def test_mmap_on_gzip_is_a_typed_format_error(self,
                                                   gzip_snap_dir):
         with pytest.raises(SnapshotFormatError, match="gzip"):
-            load_snapshot(gzip_snap_dir, mode="mmap")
-
-    def test_mappability_predicate(self, snap_dir, gzip_snap_dir):
-        assert snapshot_is_mappable(read_manifest(snap_dir))
-        assert not snapshot_is_mappable(read_manifest(gzip_snap_dir))
+            load_snapshot(gzip_snap_dir)
 
     def test_mmap_round_trips_content(self, fig4, fig4_index,
                                       snap_dir):
-        loaded = load_snapshot(snap_dir, mode="mmap")
+        loaded = load_snapshot(snap_dir)
         assert loaded.dbg.n == fig4.n and loaded.dbg.m == fig4.m
         assert list(loaded.dbg.graph.edges()) \
             == list(fig4.graph.edges())
@@ -105,7 +85,7 @@ class TestModes:
                 == fig4_index.edge_index.edges(kw)
 
     def test_mmap_uses_array_backed_classes(self, snap_dir):
-        loaded = load_snapshot(snap_dir, mode="mmap")
+        loaded = load_snapshot(snap_dir)
         assert isinstance(loaded.dbg, LazyDatabaseGraph)
         assert isinstance(loaded.index.node_index,
                           ArrayNodeInvertedIndex)
@@ -115,7 +95,7 @@ class TestModes:
 
 class TestReadOnlyViews:
     def test_graph_views_reject_mutation(self, snap_dir):
-        graph = load_snapshot(snap_dir, mode="mmap").dbg.graph
+        graph = load_snapshot(snap_dir).dbg.graph
         for arr in (graph.forward.indptr, graph.forward.targets,
                     graph.forward.weights):
             arr = np.asarray(arr)
@@ -124,7 +104,7 @@ class TestReadOnlyViews:
                 arr[0] = 1
 
     def test_postings_decode_to_plain_python(self, snap_dir):
-        index = load_snapshot(snap_dir, mode="mmap").index
+        index = load_snapshot(snap_dir).index
         for kw in index.node_index.keywords():
             nodes = index.node_index.nodes(kw)
             assert all(type(u) is int for u in nodes)
@@ -137,63 +117,60 @@ class TestReadOnlyViews:
                     "e": index.edge_index.edges(kw)})
 
     def test_node_metadata_parse_is_deferred(self, snap_dir):
-        dbg = load_snapshot(snap_dir, mode="mmap").dbg
+        dbg = load_snapshot(snap_dir).dbg
         assert dbg._payload is None        # spawn paid no JSON parse
         dbg.label_of(0)
         assert dbg._payload is not None    # first access paid it once
 
 
 class TestQueryEquivalence:
-    def test_comm_all_identical_across_modes(self, snap_dir):
+    """The mapped engine against the engine on the in-memory
+    (list-backed) graph and index the snapshot was written from — a
+    reference that never touched disk."""
+
+    def test_comm_all_identical_across_modes(self, fig4, fig4_index,
+                                             snap_dir):
         spec = QuerySpec(tuple(FIG4_QUERY), FIG4_RMAX, mode="all")
-        copied = QueryEngine.from_snapshot(snap_dir, mode="copy")
-        mapped = QueryEngine.from_snapshot(snap_dir, mode="mmap")
+        reference = QueryEngine(fig4, fig4_index)
+        mapped = QueryEngine.from_snapshot(snap_dir)
         key = [(c.core, c.cost, c.nodes, c.edges, c.centers)
-               for c in copied.run_all(spec)]
+               for c in reference.run_all(spec)]
         assert key == [(c.core, c.cost, c.nodes, c.edges, c.centers)
                        for c in mapped.run_all(spec)]
 
-    def test_pdk_stream_identical_across_modes(self, snap_dir):
-        copied = QueryEngine.from_snapshot(snap_dir, mode="copy")
-        mapped = QueryEngine.from_snapshot(snap_dir, mode="mmap")
-        a = copied.top_k_stream(list(FIG4_QUERY), FIG4_RMAX).take(3)
+    def test_pdk_stream_identical_across_modes(self, fig4, fig4_index,
+                                               snap_dir):
+        reference = QueryEngine(fig4, fig4_index)
+        mapped = QueryEngine.from_snapshot(snap_dir)
+        a = reference.top_k_stream(list(FIG4_QUERY),
+                                   FIG4_RMAX).take(3)
         b = mapped.top_k_stream(list(FIG4_QUERY), FIG4_RMAX).take(3)
         assert [(c.core, c.cost, c.nodes) for c in a] \
             == [(c.core, c.cost, c.nodes) for c in b]
 
 
 class TestEnginePlumbing:
-    def test_engine_reports_resolved_mode(self, snap_dir):
-        assert QueryEngine.from_snapshot(
-            snap_dir, mode="mmap").snapshot_mode == "mmap"
-        assert QueryEngine.from_snapshot(
-            snap_dir, mode="copy").snapshot_mode == "copy"
-
-    def test_auto_request_reports_resolution(self, snap_dir,
-                                             gzip_snap_dir):
-        assert QueryEngine.from_snapshot(
-            snap_dir, mode="auto").snapshot_mode == "mmap"
-        assert QueryEngine.from_snapshot(
-            gzip_snap_dir, mode="auto").snapshot_mode == "copy"
-
     def test_engine_adopts_snapshot_object_mode(self, snap_dir):
-        snapshot = load_snapshot(snap_dir, mode="mmap")
+        """An already-loaded snapshot is adopted as-is: the engine
+        serves its mapped objects, it does not load again."""
+        snapshot = load_snapshot(snap_dir)
         engine = QueryEngine.from_snapshot(snapshot)
-        assert engine.snapshot_mode == "mmap"
+        assert engine.dbg is snapshot.dbg
+        assert engine.index is snapshot.index
+        assert engine.generation == snapshot.id
 
-    def test_reload_preserves_the_mode_request(self, fig4,
-                                               fig4_index, snap_dir,
+    def test_reload_preserves_the_mode_request(self, fig4, snap_dir,
                                                tmp_path):
-        engine = QueryEngine.from_snapshot(snap_dir, mode="mmap")
+        """A reload maps the new snapshot too: the engine keeps
+        serving array views, never a private decoded copy."""
+        engine = QueryEngine.from_snapshot(snap_dir)
         write_snapshot(tmp_path / "next", fig4,
                        CommunityIndex.build(fig4, FIG4_RMAX + 1))
         engine.load_snapshot(tmp_path / "next")
-        assert engine.snapshot_mode == "mmap"
-
-    def test_index_mutation_clears_the_mode(self, snap_dir):
-        engine = QueryEngine.from_snapshot(snap_dir, mode="mmap")
-        engine.build_index(radius=FIG4_RMAX)
-        assert engine.snapshot_mode is None
+        assert engine.index.radius == FIG4_RMAX + 1
+        assert isinstance(engine.dbg, LazyDatabaseGraph)
+        assert isinstance(engine.index.node_index,
+                          ArrayNodeInvertedIndex)
 
 
 class TestCodecValidation:
@@ -240,26 +217,11 @@ class TestCodecValidation:
 
 
 class TestInspectCli:
-    def test_json_reports_mappability(self, snap_dir, gzip_snap_dir,
-                                      capsys):
-        assert main(["snapshot", "inspect", str(snap_dir),
-                     "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["mmap"] is True
-        assert main(["snapshot", "inspect", str(gzip_snap_dir),
-                     "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["mmap"] is False
-
     def test_text_reports_bytes_and_mappability(self, snap_dir,
                                                 capsys):
         assert main(["snapshot", "inspect", str(snap_dir)]) == 0
         out = capsys.readouterr().out
-        assert "mmap       yes" in out
-        assert "bytes shareable across workers" in out
-
-    def test_text_explains_gzip_fallback(self, gzip_snap_dir,
-                                         capsys):
-        assert main(["snapshot", "inspect",
-                     str(gzip_snap_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "mmap       no" in out
-        assert "--snapshot-mode" in out
+        total = sum(entry.stat().st_size for entry in snap_dir.iterdir()
+                    if entry.name != MANIFEST_NAME)
+        assert f"mapped     {total} bytes" in out
+        assert "shareable across workers" in out
